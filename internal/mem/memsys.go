@@ -106,10 +106,12 @@ func (q *queue) pop() Request {
 	return r
 }
 
-func (q *queue) clone() queue {
-	// Only the live tail matters; dropping the consumed prefix keeps
-	// clones of long-running queues small.
-	return queue{buf: append([]Request(nil), q.buf[q.head:]...)}
+// cloneInto copies q's live requests into dst, reusing dst's buffer
+// capacity. Only the live tail matters; dropping the consumed prefix keeps
+// clones of long-running queues small.
+func (q *queue) cloneInto(dst *queue) {
+	dst.buf = append(dst.buf[:0], q.buf[q.head:]...)
+	dst.head = 0
 }
 
 // completion is a response scheduled to land at time At.
@@ -157,10 +159,12 @@ func (q *ring) pop() completion {
 	return c
 }
 
-func (q *ring) clone() ring {
-	// Only the live tail matters; dropping the consumed prefix keeps
-	// clones of long-running rings small.
-	return ring{buf: append([]completion(nil), q.buf[q.head:]...)}
+// cloneInto copies q's live completions into dst, reusing dst's buffer
+// capacity. Only the live tail matters; dropping the consumed prefix keeps
+// clones of long-running rings small.
+func (q *ring) cloneInto(dst *ring) {
+	dst.buf = append(dst.buf[:0], q.buf[q.head:]...)
+	dst.head = 0
 }
 
 // complHeap is a binary min-heap ordered by (At, Seq).
@@ -494,36 +498,50 @@ func (m *MemSys) L2HitRate() float64 {
 // Clone returns a deep copy of the full shared-hierarchy state. Queue and
 // completion state is copied eagerly (it is small and churns constantly);
 // the L2 tag arrays — the bulk — are shared copy-on-write via Cache.Clone.
-func (m *MemSys) Clone() *MemSys {
-	cp := &MemSys{
-		Cfg:       m.Cfg,
-		banks:     make([]queue, len(m.banks)),
-		dramQ:     m.dramQ.clone(),
-		l2:        make([]Cache, len(m.l2)),
-		l2Done:    m.l2Done.clone(),
-		dramDone:  m.dramDone.clone(),
-		local:     append(complHeap(nil), m.local...),
-		seq:       m.seq,
-		cycle:     m.cycle,
-		period:    m.period,
-		bankOcc:   m.bankOcc,
-		bankBits:  m.bankBits,
-		lineShift: m.lineShift,
-		bankMask:  m.bankMask,
-		stats:     m.stats,
+func (m *MemSys) Clone() *MemSys { return m.CloneInto(nil) }
+
+// CloneInto is Clone writing into dst, whose queue, completion and bank
+// buffers are reused so a recycled fork re-clones without regrowing them.
+// dst's previous state is discarded (any L2 shares it still holds are
+// Released first); it must not be m itself or share buffers with it. A
+// nil dst allocates a fresh MemSys.
+func (m *MemSys) CloneInto(dst *MemSys) *MemSys {
+	if dst == nil {
+		dst = &MemSys{}
+	} else {
+		dst.Release()
 	}
+	banks, dramQ, l2 := dst.banks, dst.dramQ, dst.l2
+	l2Done, dramDone, local := dst.l2Done, dst.dramDone, dst.local
+	*dst = *m
+	if cap(banks) < len(m.banks) {
+		banks = make([]queue, len(m.banks))
+	}
+	dst.banks = banks[:len(m.banks)]
 	for i := range m.banks {
-		cp.banks[i] = m.banks[i].clone()
+		m.banks[i].cloneInto(&dst.banks[i])
 	}
+	m.dramQ.cloneInto(&dramQ)
+	dst.dramQ = dramQ
+	if cap(l2) < len(m.l2) {
+		l2 = make([]Cache, len(m.l2))
+	}
+	dst.l2 = l2[:len(m.l2)]
 	for i := range m.l2 {
-		cp.l2[i] = m.l2[i].Clone()
+		dst.l2[i] = m.l2[i].Clone()
 	}
-	return cp
+	m.l2Done.cloneInto(&l2Done)
+	dst.l2Done = l2Done
+	m.dramDone.cloneInto(&dramDone)
+	dst.dramDone = dramDone
+	dst.local = append(local[:0], m.local...)
+	return dst
 }
 
 // Release drops this MemSys's copy-on-write share of the L2 tag arrays.
 // Call it when discarding a Clone whose parent lives on; forgetting it is
-// safe, merely slower. The MemSys must not be used after Release.
+// safe, merely slower. The MemSys must not be used after Release, except
+// as the destination of a CloneInto.
 func (m *MemSys) Release() {
 	for i := range m.l2 {
 		m.l2[i].Release()

@@ -3,6 +3,7 @@ package oracle
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -47,8 +48,13 @@ func TestTruthDoesNotAliasScratch(t *testing.T) {
 // contract the CoW clone machinery exists for). Under -race this is the
 // gate proving forks share no mutable state with each other or the
 // parent; in any mode both goroutines must reproduce the sequential
-// result exactly.
+// result exactly. Each Sampler also fans its own forks out internally
+// (GOMAXPROCS is raised to at least 2 so it does on any machine), so the
+// parent is shared by forks of both samplers at once.
 func TestConcurrentSamplersSharedParent(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	pm := power.DefaultModelFor(2)
 	g := memGPU(t, 2)
 	g.RunUntil(5 * clock.Microsecond)

@@ -7,15 +7,22 @@
 // optionally per-wavefront) instructions committed, after which the
 // parent re-executes the epoch with the frequencies the policy selects.
 //
-// The paper forks simulator processes; this package clones the in-process
-// simulator state (sim.GPU.Clone), which is functionally identical and
-// deterministic. Clones are copy-on-write — cache tag arrays, the bulk of
-// the state, are shared with the parent until first mutation — so forking
-// is cheap, and each fork is Released when its sample has been read so
-// the parent regains in-place mutation of anything left shared.
+// The paper forks simulator processes that run concurrently; this package
+// clones the in-process simulator state (sim.GPU.CloneInto) and runs the
+// samples concurrently on goroutines, which is functionally identical and
+// deterministic — the Truth does not depend on the parallelism. Clones are
+// copy-on-write — cache tag arrays, the bulk of the state, are shared with
+// the parent until first mutation — so forking is cheap, and each fork is
+// Released when its sample has been read so the parent regains in-place
+// mutation of anything left shared. Released forks are recycled as the
+// destination of the next clone, so their buffers are not reallocated.
 package oracle
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"pcstall/internal/clock"
 	"pcstall/internal/estimate"
 	"pcstall/internal/metrics"
@@ -106,14 +113,17 @@ func (w *WFTruth) WFEstimateTrue(grid clock.Grid) estimate.WFEstimate {
 
 // Sampler pre-executes upcoming epochs across the frequency grid.
 //
-// A Sampler is single-goroutine: the scratch EpochSample is reused across
-// samples, so SampleNext must not be called concurrently on the same
-// Sampler. Distinct Samplers may sample the same quiescent parent GPU from
-// different goroutines — the copy-on-write clone machinery is built for
-// exactly that — as long as nothing runs the parent meanwhile. The
-// returned Truth never aliases the scratch state: every slice and map in
-// it is freshly allocated, so it stays valid across later SampleNext
-// calls.
+// SampleNext fans its samples out over min(GOMAXPROCS, samples)
+// goroutines, like the paper's concurrently running fork processes; the
+// result is identical at any parallelism. Each worker recycles one fork
+// (sim.GPU.CloneInto) and each sample has its own scratch EpochSample,
+// both kept on the Sampler across calls — so a Sampler still runs one
+// SampleNext at a time, and must not be called concurrently. Distinct
+// Samplers may sample the same quiescent parent GPU from different
+// goroutines — the copy-on-write clone machinery is built for exactly
+// that — as long as nothing runs the parent meanwhile. The returned Truth
+// never aliases the scratch state: every slice and map in it is freshly
+// allocated, so it stays valid across later SampleNext calls.
 type Sampler struct {
 	Grid clock.Grid
 	PM   *power.Model
@@ -128,7 +138,10 @@ type Sampler struct {
 	// Metrics, when non-nil, receives fork/pre-execute accounting.
 	Metrics *Telemetry
 
-	scratch sim.EpochSample
+	// forks[w] is worker w's recycled fork (Released between samples).
+	forks []*sim.GPU
+	// scratch[smp] receives sample smp's EpochSample when CollectWF.
+	scratch []sim.EpochSample
 }
 
 // SampleNext forks g and pre-executes the next epoch of the given
@@ -150,61 +163,80 @@ func (s *Sampler) SampleNext(g *sim.GPU, epoch clock.Time) *Truth {
 	for d := range filled {
 		filled[d] = make([]bool, k)
 	}
-	if s.CollectWF {
-		t.WF = make([]map[int64]*WFTruth, g.Cfg.NumCUs)
-		for c := range t.WF {
-			t.WF[c] = make(map[int64]*WFTruth)
-		}
-	}
 
 	nSamples := s.Samples
 	if nSamples <= 0 || nSamples > k {
 		nSamples = k
 	}
-	simds := g.Cfg.SIMDsPerCU
-	cusPerDom := g.Cfg.Domains.CUsPerDomain
+	workers := min(runtime.GOMAXPROCS(0), nSamples)
+	for len(s.forks) < workers {
+		s.forks = append(s.forks, nil)
+	}
+	if s.CollectWF && len(s.scratch) < nSamples {
+		s.scratch = append(s.scratch, make([]sim.EpochSample, nSamples-len(s.scratch))...)
+	}
 
-	for smp := 0; smp < nSamples; smp++ {
-		c := g.Clone()
-		// Reset the clone's per-epoch counters so the sample measures
-		// exactly the pre-executed epoch, regardless of when the parent
-		// last collected. ResetEpoch discards instead of collecting —
-		// no record building for counters nobody reads.
-		c.ResetEpoch()
-		for d := 0; d < nd; d++ {
-			c.SetDomainFreq(d, s.Grid.State((d+smp)%k), 0)
-		}
-		start := c.Now
-		c.RunUntil(c.Now + epoch)
-		dur := c.Now - start
-		if s.Metrics != nil {
-			s.Metrics.Forks.Inc()
-			s.Metrics.PreExecPs.Add(int64(dur))
-		}
-		// The per-domain truth reads the fork's live epoch counters
-		// directly; the full EpochSample (with its per-wave records) is
-		// built only when the caller wants per-wavefront truth, and only
-		// after these reads — CollectEpoch resets the live counters.
-		for d := 0; d < nd; d++ {
-			st := (d + smp) % k
-			var committed, issue int64
-			lo, hi := g.Cfg.Domains.CUs(d)
-			for cu := lo; cu < hi; cu++ {
-				committed += c.CUs[cu].C.Committed
-				issue += c.CUs[cu].C.IssueSlots
+	// Workers claim sample indices from a shared counter. Sample smp
+	// writes only the (d, (d+smp)%k) cells of I, E and filled, and only
+	// scratch[smp], so the workers share nothing mutable. A panicking
+	// fork stops the sweep and is re-raised on the caller's goroutine
+	// once every worker has returned, as a serial sweep would raise it.
+	var (
+		next     atomic.Int32
+		panicMu  sync.Mutex
+		panicVal any
+	)
+	work := func(w int) {
+		defer func() {
+			if p := recover(); p != nil {
+				next.Store(int32(nSamples))
+				panicMu.Lock()
+				if panicVal == nil {
+					panicVal = p
+				}
+				panicMu.Unlock()
 			}
-			t.I[d][st] = float64(committed)
-			t.E[d][st] = s.PM.DomainEpochEnergyJ(s.Grid.State(st), issue, cusPerDom, simds, dur) +
-				s.PM.UncoreShareJ(dur, nd)
-			filled[d][st] = true
+		}()
+		for {
+			smp := int(next.Add(1)) - 1
+			if smp >= nSamples {
+				return
+			}
+			s.forks[w] = s.sampleOne(g, s.forks[w], t, filled, epoch, smp)
 		}
-		if s.CollectWF {
-			c.CollectEpoch(&s.scratch)
-			collectWF(g, t, &s.scratch, smp, k)
+	}
+	// The caller waits for the helpers by yielding, not parking. A parked
+	// caller gives up its P, resumes on the last helper's, and has the
+	// runtime wake an idle thread, once per sweep; on a shared two-core
+	// host that doubled the run-to-run spread of the figures campaign.
+	// The wait lasts until the helpers' in-flight samples finish, and
+	// other goroutines run first while it lasts.
+	var pending atomic.Int32
+	pending.Store(int32(workers - 1))
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer pending.Add(-1)
+			work(w)
+		}()
+	}
+	work(0)
+	for pending.Load() > 0 {
+		runtime.Gosched()
+	}
+	if panicVal != nil {
+		panic(panicVal)
+	}
+
+	if s.CollectWF {
+		t.WF = make([]map[int64]*WFTruth, g.Cfg.NumCUs)
+		for c := range t.WF {
+			t.WF[c] = make(map[int64]*WFTruth)
 		}
-		// The fork is done: release its copy-on-write shares so the
-		// parent regains in-place mutation and privatized arrays recycle.
-		c.Release()
+		// Merge in sample order so the first sample to see a wave sets
+		// its StartPC/AgeRank, exactly as a serial sweep would.
+		for smp := 0; smp < nSamples; smp++ {
+			collectWF(g, t, &s.scratch[smp], smp, k)
+		}
 	}
 	if nSamples < k {
 		if s.Metrics != nil {
@@ -213,6 +245,57 @@ func (s *Sampler) SampleNext(g *sim.GPU, epoch clock.Time) *Truth {
 		interpolate(t, filled)
 	}
 	return t
+}
+
+// sampleOne forks g into fork (a Released earlier fork, or nil), assigns
+// domain d the state (d+smp) mod K, pre-executes one epoch and records
+// the sample's cells of t. It returns the fork, Released, for reuse.
+func (s *Sampler) sampleOne(g, fork *sim.GPU, t *Truth, filled [][]bool, epoch clock.Time, smp int) *sim.GPU {
+	k := s.Grid.Count()
+	nd := len(t.I)
+	simds := g.Cfg.SIMDsPerCU
+	cusPerDom := g.Cfg.Domains.CUsPerDomain
+
+	c := g.CloneInto(fork)
+	// Reset the clone's per-epoch counters so the sample measures
+	// exactly the pre-executed epoch, regardless of when the parent last
+	// collected. ResetEpoch discards instead of collecting — no record
+	// building for counters nobody reads.
+	c.ResetEpoch()
+	for d := 0; d < nd; d++ {
+		c.SetDomainFreq(d, s.Grid.State((d+smp)%k), 0)
+	}
+	start := c.Now
+	c.RunUntil(c.Now + epoch)
+	dur := c.Now - start
+	if s.Metrics != nil {
+		s.Metrics.Forks.Inc()
+		s.Metrics.PreExecPs.Add(int64(dur))
+	}
+	// The per-domain truth reads the fork's live epoch counters
+	// directly; the full EpochSample (with its per-wave records) is
+	// built only when the caller wants per-wavefront truth, and only
+	// after these reads — CollectEpoch resets the live counters.
+	for d := 0; d < nd; d++ {
+		st := (d + smp) % k
+		var committed, issue int64
+		lo, hi := g.Cfg.Domains.CUs(d)
+		for cu := lo; cu < hi; cu++ {
+			committed += c.CUs[cu].C.Committed
+			issue += c.CUs[cu].C.IssueSlots
+		}
+		t.I[d][st] = float64(committed)
+		t.E[d][st] = s.PM.DomainEpochEnergyJ(s.Grid.State(st), issue, cusPerDom, simds, dur) +
+			s.PM.UncoreShareJ(dur, nd)
+		filled[d][st] = true
+	}
+	if s.CollectWF {
+		c.CollectEpoch(&s.scratch[smp])
+	}
+	// The fork is done: release its copy-on-write shares so the parent
+	// regains in-place mutation and privatized arrays recycle.
+	c.Release()
+	return c
 }
 
 // collectWF records per-wavefront committed counts from one sample into t.

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"reflect"
 	"testing"
 
 	"pcstall/internal/clock"
@@ -113,5 +114,79 @@ func TestFrequencyScalesComputeBoundWork(t *testing.T) {
 	}
 	if xsGain >= dgemmGain {
 		t.Errorf("memory-bound app scaled more than compute-bound app (%.3f >= %.3f)", xsGain, dgemmGain)
+	}
+}
+
+// liveQueued is the memory system's queued plus in-flight request count —
+// the live length of the queues and rings a clone copies.
+func liveQueued(g *sim.GPU) int { return g.Msys.QueueDepth() + g.Msys.InFlight() }
+
+// TestCloneIntoReusedFork: the oracle recycles a Released fork as the
+// destination of the next CloneInto. Re-cloning into it from later parent
+// states — whose queue and ring lengths have grown and shrunk relative to
+// what the fork last held — must yield a fork that runs exactly like a
+// fresh Clone, and must leave the parent running exactly like an untouched
+// twin.
+func TestCloneIntoReusedFork(t *testing.T) {
+	var grew, shrank bool
+	for _, name := range []string{"xsbench", "comd", "dgemm"} {
+		t.Run(name, func(t *testing.T) {
+			const cus = 4
+			g := mustGPU(t, name, cus)
+			twin := mustGPU(t, name, cus) // driven identically, never forked
+			advance := func(d clock.Time) {
+				g.RunUntil(g.Now + d)
+				twin.RunUntil(twin.Now + d)
+			}
+			advance(10 * clock.Microsecond)
+
+			fork := g.Clone()
+			fork.SetDomainFreq(0, 2200, 0)
+			fork.RunUntil(fork.Now + 20*clock.Microsecond)
+			held := liveQueued(fork)
+			fork.Release()
+
+			for i, step := range []clock.Time{3, 9, 1, 14, 2, 6} {
+				advance(step * clock.Microsecond)
+				live := liveQueued(g)
+				grew = grew || live > held
+				shrank = shrank || live < held
+				reused := g.CloneInto(fork)
+				if reused != fork {
+					t.Fatal("CloneInto did not reuse its destination")
+				}
+				fresh := g.Clone()
+				var want, got sim.EpochSample
+				for _, c := range []*sim.GPU{fresh, reused} {
+					c.ResetEpoch()
+					for d := 0; d < cus; d++ {
+						c.SetDomainFreq(d, g.Cfg.Grid.State((d+i)%g.Cfg.Grid.Count()), 0)
+					}
+					c.RunUntil(c.Now + clock.Microsecond)
+				}
+				fresh.CollectEpoch(&want)
+				reused.CollectEpoch(&got)
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("step %d: epoch on the reused fork diverged from a fresh clone", i)
+				}
+				held = liveQueued(reused)
+				fresh.Release()
+				reused.Release()
+				if g.Now != twin.Now || g.TotalCommitted != twin.TotalCommitted {
+					t.Fatalf("step %d: forking perturbed the parent", i)
+				}
+			}
+			// The parent keeps running exactly like its twin.
+			advance(5 * clock.Microsecond)
+			var a, b sim.EpochSample
+			g.CollectEpoch(&a)
+			twin.CollectEpoch(&b)
+			if g.TotalCommitted != twin.TotalCommitted || !reflect.DeepEqual(a, b) {
+				t.Fatal("parent diverged from its never-forked twin after recycled forks ran")
+			}
+		})
+	}
+	if !grew || !shrank {
+		t.Fatalf("re-clones never both grew and shrank the live queue length (grew %v, shrank %v)", grew, shrank)
 	}
 }

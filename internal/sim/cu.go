@@ -624,32 +624,36 @@ func (cu *CU) collect(g *GPU, end clock.Time, out *CUEpoch) {
 	cu.resetEpochState(g, end)
 }
 
-// clone deep-copies the CU. Loop state lives in two flat arenas, so the
-// copy is a handful of slice copies regardless of resident wave count; the
-// L1 tag arrays are shared copy-on-write.
-func (cu *CU) clone() CU {
-	cp := *cu
-	cp.WFs = make([]Wavefront, len(cu.WFs))
-	copy(cp.WFs, cu.WFs)
-	cp.loopArena = append([]int32(nil), cu.loopArena...)
-	cp.reloadArena = append([]int32(nil), cu.reloadArena...)
+// cloneInto deep-copies the CU into dst, reusing dst's slice capacity.
+// Loop state lives in two flat arenas, so the copy is a handful of slice
+// copies regardless of resident wave count; the L1 tag arrays are shared
+// copy-on-write. dst's L1 must hold no share (fresh or Released).
+func (cu *CU) cloneInto(dst *CU) {
+	old := *dst
+	*dst = *cu
+	dst.WFs = reuse(old.WFs, cu.WFs)
+	dst.loopArena = reuse(old.loopArena, cu.loopArena)
+	dst.reloadArena = reuse(old.reloadArena, cu.reloadArena)
 	if stride := int(cu.loopStride); stride > 0 {
-		for i := range cp.WFs {
-			w := &cp.WFs[i]
+		for i := range dst.WFs {
+			w := &dst.WFs[i]
 			off := i * stride
-			w.Loop = cp.loopArena[off : off+len(w.Loop) : off+stride]
-			w.LoopReload = cp.reloadArena[off : off+len(w.LoopReload) : off+stride]
+			w.Loop = dst.loopArena[off : off+len(w.Loop) : off+stride]
+			w.LoopReload = dst.reloadArena[off : off+len(w.LoopReload) : off+stride]
 		}
 	}
-	cp.SIMDFreeAt = append([]clock.Time(nil), cu.SIMDFreeAt...)
-	cp.runnable = append([]int32(nil), cu.runnable...)
-	cp.runMask = append([]uint64(nil), cu.runMask...)
-	cp.thrQ = append([]int32(nil), cu.thrQ...)
-	cp.L1 = cu.L1.Clone()
-	cp.Retired = append([]WFRecord(nil), cu.Retired...)
-	cp.simdQ = make([][]int32, len(cu.simdQ))
-	for s := range cu.simdQ {
-		cp.simdQ[s] = append([]int32(nil), cu.simdQ[s]...)
+	dst.SIMDFreeAt = reuse(old.SIMDFreeAt, cu.SIMDFreeAt)
+	dst.runnable = reuse(old.runnable, cu.runnable)
+	dst.runMask = reuse(old.runMask, cu.runMask)
+	dst.thrQ = reuse(old.thrQ, cu.thrQ)
+	dst.L1 = cu.L1.Clone()
+	dst.Retired = reuse(old.Retired, cu.Retired)
+	simdQ := old.simdQ
+	if cap(simdQ) < len(cu.simdQ) {
+		simdQ = make([][]int32, len(cu.simdQ))
 	}
-	return cp
+	dst.simdQ = simdQ[:len(cu.simdQ)]
+	for s := range cu.simdQ {
+		dst.simdQ[s] = append(dst.simdQ[s][:0], cu.simdQ[s]...)
+	}
 }

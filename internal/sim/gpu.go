@@ -712,22 +712,51 @@ type WavePC struct {
 // core (waves, queues, counters), not cache capacity. Call Release on a
 // clone being discarded while its parent lives on; forgetting to is safe,
 // merely slower.
-func (g *GPU) Clone() *GPU {
-	cp := *g
-	cp.CUs = make([]CU, len(g.CUs))
-	for i := range g.CUs {
-		cp.CUs[i] = g.CUs[i].clone()
+func (g *GPU) Clone() *GPU { return g.CloneInto(nil) }
+
+// CloneInto is Clone writing into dst, a discarded fork whose wave, queue
+// and schedule buffers are reused instead of reallocated — the oracle
+// recycles one fork per worker this way across every sample it takes.
+// dst's previous state is discarded (cache shares it still holds are
+// Released first), so dst must not be g, an ancestor of g, or any GPU
+// still in use. A nil dst allocates a fresh GPU.
+func (g *GPU) CloneInto(dst *GPU) *GPU {
+	if dst == nil {
+		dst = &GPU{}
+	} else {
+		dst.Release()
 	}
-	cp.Domains = append([]clock.Domain(nil), g.Domains...)
-	cp.Msys = g.Msys.Clone()
-	cp.heap = g.heap.clone()
-	cp.doneBuf = nil
-	cp.dirty = nil
-	return &cp
+	old := *dst
+	*dst = *g
+	cus := old.CUs
+	if cap(cus) < len(g.CUs) {
+		cus = make([]CU, len(g.CUs))
+	}
+	dst.CUs = cus[:len(g.CUs)]
+	for i := range g.CUs {
+		g.CUs[i].cloneInto(&dst.CUs[i])
+	}
+	dst.Domains = reuse(old.Domains, g.Domains)
+	dst.Msys = g.Msys.CloneInto(old.Msys)
+	g.heap.cloneInto(&old.heap)
+	dst.heap = old.heap
+	dst.doneBuf = old.doneBuf[:0]
+	dst.dirty = old.dirty[:0]
+	return dst
+}
+
+// reuse returns a copy of src backed by dst's array when it has the
+// capacity (nil for a nil src, so nil-checked optional slices keep their
+// meaning in a recycled copy).
+func reuse[T any](dst, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	return append(dst[:0], src...)
 }
 
 // Release drops the GPU's copy-on-write share of cache tag state. The GPU
-// must not be used afterwards.
+// must not be used afterwards, except as the destination of a CloneInto.
 func (g *GPU) Release() {
 	for i := range g.CUs {
 		g.CUs[i].L1.Release()

@@ -142,12 +142,13 @@ func (h *tickHeap) min() (int32, clock.Time) {
 	return i, h.key[i]
 }
 
-// clone deep-copies the schedule.
-func (h *tickHeap) clone() tickHeap {
-	return tickHeap{
-		key:       append([]clock.Time(nil), h.key...),
-		heap:      append([]int32(nil), h.heap...),
-		pos:       append([]int32(nil), h.pos...),
+// cloneInto deep-copies the schedule into dst, reusing dst's array
+// capacity.
+func (h *tickHeap) cloneInto(dst *tickHeap) {
+	*dst = tickHeap{
+		key:       reuse(dst.key, h.key),
+		heap:      reuse(dst.heap, h.heap),
+		pos:       reuse(dst.pos, h.pos),
 		linear:    h.linear,
 		cachedIdx: h.cachedIdx,
 		cachedKey: h.cachedKey,

@@ -60,6 +60,22 @@ else
 	exit 1
 fi
 
+echo "==> alloc gate (oracle SampleNext recycles its forks)"
+# Each Sampler re-clones into one recycled fork per worker
+# (sim.GPU.CloneInto), so a sampling sweep allocates little beyond the
+# returned Truth. Re-allocating forks costs about 2.09 MB per sweep; the
+# gate fails any sub-benchmark above 0.6 MB/op.
+sample_out=$(go test -run '^$' -bench 'BenchmarkSampleNext' -benchmem -benchtime 20x ./internal/oracle/)
+echo "$sample_out" | grep B/op || true
+if echo "$sample_out" | awk '
+	/B\/op/ { n++; for (i = 2; i <= NF; i++) if ($i == "B/op" && $(i-1) + 0 > 600000) bad = 1 }
+	END { exit (bad || n == 0) }'; then
+	:
+else
+	echo "alloc gate: oracle SampleNext allocates more than 0.6 MB/op (or did not run)" >&2
+	exit 1
+fi
+
 echo "==> fuzz smoke (15s each: program builder, config validator)"
 # Short deterministic-budget fuzz passes; CI catches crashes and invariant
 # violations, the long exploratory runs stay manual.
