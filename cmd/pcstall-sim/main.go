@@ -14,13 +14,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 
 	"pcstall"
+	"pcstall/internal/trace"
 	"pcstall/internal/tracing"
 )
 
@@ -52,7 +52,6 @@ func main() {
 	cfg.GPU.Seed = *seed
 	cfg.Epoch = pcstall.Time(*epochUs) * pcstall.Microsecond
 	cfg.Scale = *scale
-	cfg.Record = *verbose
 	cfg.MaxCycles = *maxCycles
 	if *chaosSpec != "" {
 		ch, err := pcstall.ParseChaos(*chaosSpec)
@@ -77,28 +76,38 @@ func main() {
 		fatalf("unknown objective %q (EDP, ED2P, PERF<pct>)", *objective)
 	}
 
-	var traceClose func() error
+	// -v reads the run's epochs back from a collector; -trace streams
+	// them to a file. Either, both or neither may be on.
+	var (
+		epochs     pcstall.TraceCollector
+		recs       trace.Multi
+		traceClose func() error
+	)
+	if *verbose {
+		recs = append(recs, &epochs)
+	}
 	if *epochTrace != "" {
 		f, err := os.Create(*epochTrace)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		if strings.HasSuffix(*epochTrace, ".csv") {
-			cfg.Trace = pcstall.NewCSVTrace(f)
+			recs = append(recs, pcstall.NewCSVTrace(f))
 		} else {
-			cfg.Trace = pcstall.NewJSONLTrace(f)
+			recs = append(recs, pcstall.NewJSONLTrace(f))
 		}
 		traceClose = func() error {
 			// The recorder buffers; flush it before the file so a failed
 			// final flush is reported, not silently dropped.
-			if c, ok := cfg.Trace.(io.Closer); ok {
-				if err := c.Close(); err != nil {
-					f.Close()
-					return err
-				}
+			if err := recs.Close(); err != nil {
+				f.Close()
+				return err
 			}
 			return f.Close()
 		}
+	}
+	if recs != nil {
+		cfg.Trace = recs
 	}
 
 	var reg *pcstall.Metrics
@@ -177,11 +186,14 @@ func main() {
 			res.Chaos.FailedTransitions, res.Chaos.JitterPs, res.Chaos.FlippedPCs)
 	}
 
-	if *verbose {
-		for i, r := range res.Records {
-			fmt.Printf("epoch %4d  d0 f=%v pred=%.0f actual=%.0f energy=%.3guJ\n",
-				i, r.Freq[0], r.PredI[0], r.ActualI[0], r.EnergyJ*1e6)
+	for _, e := range epochs.Events() {
+		var energy float64
+		for _, d := range e.Domains {
+			energy += d.EnergyJ
 		}
+		d0 := e.Domains[0]
+		fmt.Printf("epoch %4d  d0 f=%v pred=%.0f actual=%.0f energy=%.3guJ\n",
+			e.Index, pcstall.Freq(d0.FreqMHz), d0.PredI, d0.ActualI, energy*1e6)
 	}
 
 	if *stats {

@@ -222,3 +222,33 @@ func TestLevelZeroDisabled(t *testing.T) {
 		t.Fatalf("Level(0).String() = %q", c.String())
 	}
 }
+
+// FuzzChaosSpec: canonical specs are part of cache keys, so for any spec
+// Parse accepts, String must reparse to the same String — and, when the
+// config injects anything, to an equal Config.
+func FuzzChaosSpec(f *testing.F) {
+	for _, spec := range []string{
+		"", "noise=0.2", "seed=7,level=0.4", "level=0.2",
+		"noise=0.2,drop=0.05,stale=0.1,tfail=0.1,jitter=0.5,pcflip=0.01,seed=9",
+		" jitter = 1e-300 , seed=18446744073709551615", "drop=1,pcflip=-0",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		c, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		canon := c.String()
+		c2, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, its String %q rejected: %v", spec, canon, err)
+		}
+		if c2.String() != canon {
+			t.Fatalf("String of %q is %q, which reparses to %q", spec, canon, c2.String())
+		}
+		if c.Enabled() && c2 != c {
+			t.Fatalf("%q: %+v reparses from %q to %+v", spec, c, canon, c2)
+		}
+	})
+}

@@ -28,12 +28,11 @@ type RunConfig struct {
 	Transition clock.Time
 	// MaxTime caps simulated time as a runaway guard; 0 means 100 ms.
 	MaxTime clock.Time
-	// Record keeps per-epoch records in the result (costs memory).
-	Record bool
 	// OracleSamples overrides the sampler's fork count for policies
 	// that need truth (0 = one per V/f state).
 	OracleSamples int
-	// Trace, when non-nil, receives one EpochEvent per epoch.
+	// Trace, when non-nil, receives one EpochEvent per epoch; a
+	// trace.Collector keeps them for reading back after the run.
 	Trace trace.Recorder
 	// InstrWindow switches the controller from fixed-time epochs to
 	// fixed-instruction windows (the §3.1 alternative the paper argues
@@ -69,19 +68,6 @@ type RunConfig struct {
 	MaxCycles int64
 }
 
-// EpochRecord is one epoch's outcome (kept when RunConfig.Record is set).
-type EpochRecord struct {
-	Start, End clock.Time
-	// Freq[d] is the frequency domain d ran.
-	Freq []clock.Freq
-	// PredI[d] is the policy's predicted instructions at the chosen
-	// state; ActualI[d] what really committed.
-	PredI   []float64
-	ActualI []float64
-	// EnergyJ is the GPU core energy of the epoch.
-	EnergyJ float64
-}
-
 // Result summarizes one run.
 type Result struct {
 	Policy    string
@@ -107,8 +93,6 @@ type Result struct {
 	// Chaos reports the faults injected during the run (zero when fault
 	// injection is disabled).
 	Chaos chaos.Stats
-	// Records holds per-epoch detail when requested.
-	Records []EpochRecord
 }
 
 // RunJob is the job-shaped entry point batch orchestration uses: both
@@ -313,16 +297,6 @@ func Run(g *sim.GPU, pol Policy, cfg RunConfig) (Result, error) {
 				Domains: make([]trace.DomainEvent, nd),
 			}
 		}
-		var rec *EpochRecord
-		if cfg.Record {
-			res.Records = append(res.Records, EpochRecord{
-				Start: sampleBuf.Start, End: sampleBuf.End,
-				Freq:    make([]clock.Freq, nd),
-				PredI:   make([]float64, nd),
-				ActualI: make([]float64, nd),
-			})
-			rec = &res.Records[len(res.Records)-1]
-		}
 
 		for d := 0; d < nd; d++ {
 			var committed, issue, occPs int64
@@ -355,12 +329,6 @@ func Run(g *sim.GPU, pol Policy, cfg RunConfig) (Result, error) {
 					acc.Add(metrics.PredAccuracy(pred[d][choice[d]], float64(committed)))
 				}
 				tm.recordPrediction(pred[d][choice[d]], float64(committed))
-			}
-			if rec != nil {
-				rec.Freq[d] = grid.State(choice[d])
-				rec.PredI[d] = pred[d][choice[d]]
-				rec.ActualI[d] = float64(committed)
-				rec.EnergyJ += e
 			}
 			if tev != nil {
 				tev.Domains[d] = trace.DomainEvent{

@@ -1,14 +1,16 @@
 package dvfs_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"pcstall/internal/clock"
 	"pcstall/internal/core"
 	"pcstall/internal/dvfs"
-	"pcstall/internal/estimate"
 	"pcstall/internal/power"
 	"pcstall/internal/sim"
+	"pcstall/internal/trace"
 	"pcstall/internal/workload"
 )
 
@@ -54,29 +56,63 @@ func TestTruncationFlag(t *testing.T) {
 	}
 }
 
-func TestRecordMode(t *testing.T) {
+// TestRunInvariants is the run-level conservation pass over every
+// design, read through the collecting trace recorder: one event per
+// epoch, per-epoch committed instructions summing exactly to the run
+// total, per-epoch domain energy plus uncore and transition energy
+// summing to the run's energy, and residency summing to 1.
+func TestRunInvariants(t *testing.T) {
+	var names []string
+	for _, n := range core.DesignNames() {
+		if !strings.Contains(n, "<") { // skip the STATIC-<MHz> template
+			names = append(names, n)
+		}
+	}
+	names = append(names, "STATIC-1300")
 	pm := power.DefaultModelFor(2)
-	g := freshGPU(t, "xsbench", 2)
-	res, err := dvfs.Run(g, &dvfs.Reactive{Model: estimate.Crisp{}}, dvfs.RunConfig{
-		Epoch: clock.Microsecond, Obj: dvfs.ED2P, PM: &pm, Record: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != res.Epochs {
-		t.Fatalf("%d records for %d epochs", len(res.Records), res.Epochs)
-	}
-	var actual float64
-	for _, r := range res.Records {
-		if r.End <= r.Start {
-			t.Fatal("non-positive epoch duration in record")
+	for _, app := range []string{"comd", "xsbench"} {
+		for _, name := range names {
+			d, err := core.DesignByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := freshGPU(t, app, 2)
+			var events trace.Collector
+			res, err := dvfs.Run(g, d.New(), dvfs.RunConfig{
+				Epoch: clock.Microsecond, Obj: dvfs.ED2P, PM: &pm, Trace: &events,
+			})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", app, name, err)
+			}
+			evs := events.Events()
+			if len(evs) != res.Epochs {
+				t.Fatalf("%s/%s: %d events for %d epochs", app, name, len(evs), res.Epochs)
+			}
+			var committed, energy float64
+			for i, e := range evs {
+				if e.Index != i || e.EndPs <= e.StartPs {
+					t.Fatalf("%s/%s: event %d is epoch %d spanning [%d, %d]", app, name, i, e.Index, e.StartPs, e.EndPs)
+				}
+				for _, de := range e.Domains {
+					committed += de.ActualI
+					energy += de.EnergyJ
+				}
+			}
+			if int64(committed) != res.Totals.Committed {
+				t.Fatalf("%s/%s: per-epoch committed sums to %d, run total %d", app, name, int64(committed), res.Totals.Committed)
+			}
+			energy += pm.UncoreEnergyJ(g.Now) + pm.TransitionEnergyJ(res.Transitions)
+			if gap := math.Abs(energy-res.Totals.EnergyJ) / res.Totals.EnergyJ; gap > 1e-12 {
+				t.Fatalf("%s/%s: per-epoch energy %g vs run total %g (relative gap %g)", app, name, energy, res.Totals.EnergyJ, gap)
+			}
+			var residency float64
+			for _, r := range res.Residency {
+				residency += r
+			}
+			if math.Abs(residency-1) > 1e-12 {
+				t.Fatalf("%s/%s: residency sums to %v", app, name, residency)
+			}
 		}
-		for d := range r.ActualI {
-			actual += r.ActualI[d]
-		}
-	}
-	if int64(actual) != res.Totals.Committed {
-		t.Fatalf("record actuals %d != committed %d", int64(actual), res.Totals.Committed)
 	}
 }
 

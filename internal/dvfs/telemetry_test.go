@@ -11,11 +11,19 @@ import (
 	"pcstall/internal/power"
 	"pcstall/internal/sim"
 	"pcstall/internal/telemetry"
+	"pcstall/internal/trace"
 	"pcstall/internal/workload"
 )
 
+// runOutput is everything a run reports: the result and its per-epoch
+// events. The determinism goldens compare it whole.
+type runOutput struct {
+	dvfs.Result
+	Events []trace.EpochEvent
+}
+
 // goldenRun executes one small run with the given registry attached.
-func goldenRun(t *testing.T, design string, reg *telemetry.Registry) dvfs.Result {
+func goldenRun(t *testing.T, design string, reg *telemetry.Registry) runOutput {
 	t.Helper()
 	simCfg := sim.DefaultConfig(4)
 	gen := workload.DefaultGenConfig(4)
@@ -30,17 +38,18 @@ func goldenRun(t *testing.T, design string, reg *telemetry.Registry) dvfs.Result
 	if err != nil {
 		t.Fatal(err)
 	}
+	var events trace.Collector
 	res, err := dvfs.Run(g, d.New(), dvfs.RunConfig{
 		Epoch:   clock.Microsecond,
 		Obj:     dvfs.ED2P,
 		PM:      &pm,
-		Record:  true,
+		Trace:   &events,
 		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return runOutput{res, events.Events()}
 }
 
 // TestTelemetryGolden is the determinism contract: a run with a registry

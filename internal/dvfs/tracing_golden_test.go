@@ -11,6 +11,7 @@ import (
 	"pcstall/internal/dvfs"
 	"pcstall/internal/power"
 	"pcstall/internal/sim"
+	"pcstall/internal/trace"
 	"pcstall/internal/tracing"
 	"pcstall/internal/workload"
 )
@@ -18,7 +19,7 @@ import (
 // tracedRun executes one small run with ctx (which may carry a tracer)
 // attached. Mirrors goldenRun but exercises the RunConfig.Ctx path the
 // tracing layer rides.
-func tracedRun(t *testing.T, design string, ctx context.Context) dvfs.Result {
+func tracedRun(t *testing.T, design string, ctx context.Context) runOutput {
 	t.Helper()
 	simCfg := sim.DefaultConfig(4)
 	gen := workload.DefaultGenConfig(4)
@@ -33,17 +34,18 @@ func tracedRun(t *testing.T, design string, ctx context.Context) dvfs.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var events trace.Collector
 	res, err := dvfs.Run(g, d.New(), dvfs.RunConfig{
-		Epoch:  clock.Microsecond,
-		Obj:    dvfs.ED2P,
-		PM:     &pm,
-		Record: true,
-		Ctx:    ctx,
+		Epoch: clock.Microsecond,
+		Obj:   dvfs.ED2P,
+		PM:    &pm,
+		Trace: &events,
+		Ctx:   ctx,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return runOutput{res, events.Events()}
 }
 
 // TestTracingGolden is the tracing determinism contract: a run under an

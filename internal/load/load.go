@@ -82,6 +82,22 @@ type record struct {
 	retryAfter int
 }
 
+// plan fixes a run's arrival instants and requests from cfg.Seed. The
+// schedule stream and the request stream are split from the seed
+// independently, so changing the mix never perturbs the arrival instants
+// (and vice versa).
+func plan(cfg Config, mix Mix, apps, figures []string) ([]time.Duration, []request) {
+	root := xrand.New(cfg.Seed)
+	schedRng := root.Split(1)
+	reqRng := root.Split(2)
+	arrivals := schedule(cfg.Rate, cfg.Duration, &schedRng)
+	reqs := make([]request, len(arrivals))
+	for i := range reqs {
+		reqs[i] = mix.generate(&reqRng, cfg.Seed, i, apps, figures)
+	}
+	return arrivals, reqs
+}
+
 // schedule draws the fixed open-loop arrival offsets: exponential
 // interarrivals at rate over the window. The last arrival is strictly
 // inside the window; a pathological rate/duration pair that yields no
@@ -153,17 +169,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		client = &http.Client{Timeout: timeout}
 	}
 
-	// Deterministic plan: the schedule stream and the request stream are
-	// split from the seed independently, so changing the mix never
-	// perturbs the arrival instants (and vice versa).
-	root := xrand.New(cfg.Seed)
-	schedRng := root.Split(1)
-	reqRng := root.Split(2)
-	arrivals := schedule(cfg.Rate, cfg.Duration, &schedRng)
-	reqs := make([]request, len(arrivals))
-	for i := range reqs {
-		reqs[i] = mix.generate(&reqRng, i, apps, figures)
-	}
+	arrivals, reqs := plan(cfg, mix, apps, figures)
 	if cfg.Log != nil {
 		fmt.Fprintf(cfg.Log, "load: mix=%s rate=%.1f/s window=%s offered=%d targets=%d seed=%d\n",
 			cfg.Mix, cfg.Rate, cfg.Duration, len(reqs), len(cfg.Targets), cfg.Seed)

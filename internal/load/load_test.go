@@ -57,8 +57,8 @@ func TestMixesDeterministic(t *testing.T) {
 	for name, m := range Mixes {
 		r1, r2 := xrand.New(3), xrand.New(3)
 		for i := 0; i < 200; i++ {
-			a := m.generate(&r1, i, apps, figs)
-			b := m.generate(&r2, i, apps, figs)
+			a := m.generate(&r1, 3, i, apps, figs)
+			b := m.generate(&r2, 3, i, apps, figs)
 			if a != b {
 				t.Fatalf("%s: request %d not deterministic: %+v vs %+v", name, i, a, b)
 			}
@@ -76,7 +76,7 @@ func TestMixesDeterministic(t *testing.T) {
 	rng := xrand.New(3)
 	seen := map[string]bool{}
 	for i := 0; i < 200; i++ {
-		body := Mixes["unique"].generate(&rng, i, apps, figs).Body
+		body := Mixes["unique"].generate(&rng, 3, i, apps, figs).Body
 		if seen[body] {
 			t.Fatalf("unique mix repeated body %s at %d", body, i)
 		}
@@ -86,7 +86,7 @@ func TestMixesDeterministic(t *testing.T) {
 	rng = xrand.New(3)
 	pool := map[string]bool{}
 	for i := 0; i < 200; i++ {
-		pool[Mixes["cachehot"].generate(&rng, i, apps, figs).Body] = true
+		pool[Mixes["cachehot"].generate(&rng, 3, i, apps, figs).Body] = true
 	}
 	if len(pool) != cacheHotPool {
 		t.Fatalf("cachehot pool has %d distinct bodies, want %d", len(pool), cacheHotPool)
@@ -95,10 +95,61 @@ func TestMixesDeterministic(t *testing.T) {
 	rng = xrand.New(3)
 	classes := map[string]int{}
 	for i := 0; i < 200; i++ {
-		classes[Mixes["figlane"].generate(&rng, i, apps, figs).Class]++
+		classes[Mixes["figlane"].generate(&rng, 3, i, apps, figs).Class]++
 	}
 	if classes[ClassFigure] == 0 || classes[ClassCold] == 0 {
 		t.Fatalf("figlane classes = %v, want both figure and cold traffic", classes)
+	}
+}
+
+// TestPlanSeedsFreshConfigs: the plan is a pure function of the run
+// seed, and the "fresh" sim configs of two runs with different seeds
+// never coincide, so a server that kept its cache dir between them
+// still computes every unique request cold. Figure-lane's figure/cold
+// split draws from the request stream alone, so it does not move with
+// the body seeds.
+func TestPlanSeedsFreshConfigs(t *testing.T) {
+	apps := []string{"comd", "hpgmg"}
+	figs := []string{"10", "14"}
+	for _, mix := range []string{"unique", "figlane"} {
+		cfg := func(seed uint64) Config {
+			return Config{Mix: mix, Rate: 400, Duration: time.Second, Seed: seed}
+		}
+		a1, r1 := plan(cfg(1), Mixes[mix], apps, figs)
+		a1b, r1b := plan(cfg(1), Mixes[mix], apps, figs)
+		if !reflect.DeepEqual(a1, a1b) || !reflect.DeepEqual(r1, r1b) {
+			t.Fatalf("%s: the same seed gave two different plans", mix)
+		}
+		_, r2 := plan(cfg(2), Mixes[mix], apps, figs)
+		bodies := map[string]bool{}
+		for _, r := range r1 {
+			if r.Body != "" {
+				bodies[r.Body] = true
+			}
+		}
+		if len(bodies) < 100 {
+			t.Fatalf("%s: only %d sim bodies in the seed-1 plan", mix, len(bodies))
+		}
+		for i, r := range r2 {
+			if bodies[r.Body] {
+				t.Fatalf("%s: seed 2 request %d replays seed 1's fresh config %s", mix, i, r.Body)
+			}
+		}
+	}
+	ra, rb := xrand.New(5), xrand.New(5)
+	for i := 0; i < 200; i++ {
+		a := Mixes["figlane"].generate(&ra, 1, i, apps, figs)
+		b := Mixes["figlane"].generate(&rb, 2, i, apps, figs)
+		if a.Class != b.Class || a.Path != b.Path {
+			t.Fatalf("figlane request %d: run seed moved the figure/cold sequence (%+v vs %+v)", i, a, b)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		for _, seed := range []uint64{0, 1, 2, 1 << 30} {
+			if s := uniqueSeed(seed, i); s < uniqueSeedBase {
+				t.Fatalf("body seed %d (run seed %d, request %d) falls among the pool seeds", s, seed, i)
+			}
+		}
 	}
 }
 

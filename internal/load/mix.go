@@ -28,12 +28,12 @@ type request struct {
 }
 
 // Mix is one named traffic shape. generate must be deterministic in
-// (rng stream, i, apps, figures).
+// (rng stream, run seed, i, apps, figures).
 type Mix struct {
 	Name string
 	Desc string
 
-	generate func(rng *xrand.State, i int, apps, figures []string) request
+	generate func(rng *xrand.State, seed uint64, i int, apps, figures []string) request
 }
 
 // simBody renders the sparse sim config the harness sends: app + design
@@ -56,12 +56,20 @@ const collideWindow = 32
 // seeds, so "unique" traffic never accidentally warms a pool key.
 const uniqueSeedBase = 1 << 20
 
+// uniqueSeed is the sim seed of fresh-config request i in a run seeded
+// with seed. Each run seed owns a block of 1<<24 body seeds, so a run
+// never replays another run's "fresh" configs (and hits a cache that
+// kept them) unless it offers more than 16M requests.
+func uniqueSeed(seed uint64, i int) uint64 {
+	return uniqueSeedBase + seed<<24 + uint64(i)
+}
+
 // Mixes are the built-in traffic shapes.
 var Mixes = map[string]Mix{
 	"cachehot": {
 		Name: "cachehot",
 		Desc: "cache-hit heavy: a small warm pool of configs, half the replays carrying If-None-Match",
-		generate: func(rng *xrand.State, i int, apps, figures []string) request {
+		generate: func(rng *xrand.State, seed uint64, i int, apps, figures []string) request {
 			slot := i % cacheHotPool
 			class := ClassCached
 			if i < cacheHotPool {
@@ -78,7 +86,7 @@ var Mixes = map[string]Mix{
 	"collide": {
 		Name: "collide",
 		Desc: "singleflight-collision heavy: every arrival in a window carries the identical config, rotating to a fresh key each window",
-		generate: func(rng *xrand.State, i int, apps, figures []string) request {
+		generate: func(rng *xrand.State, seed uint64, i int, apps, figures []string) request {
 			window := i / collideWindow
 			class := ClassCached
 			if i%collideWindow == 0 {
@@ -94,18 +102,18 @@ var Mixes = map[string]Mix{
 	"unique": {
 		Name: "unique",
 		Desc: "unique-config heavy: every request is a fresh cold simulation (distinct seed, no reuse)",
-		generate: func(rng *xrand.State, i int, apps, figures []string) request {
+		generate: func(rng *xrand.State, seed uint64, i int, apps, figures []string) request {
 			return request{
 				Class: ClassCold,
 				Path:  "/v1/sim",
-				Body:  simBody(apps[i%len(apps)], uniqueSeedBase+uint64(i)),
+				Body:  simBody(apps[i%len(apps)], uniqueSeed(seed, i)),
 			}
 		},
 	},
 	"figlane": {
 		Name: "figlane",
 		Desc: "figure-lane: ~40% figure regenerations interleaved with unique cold sims, probing lane isolation",
-		generate: func(rng *xrand.State, i int, apps, figures []string) request {
+		generate: func(rng *xrand.State, seed uint64, i int, apps, figures []string) request {
 			if rng.Float64() < 0.4 {
 				return request{
 					Class: ClassFigure,
@@ -115,7 +123,7 @@ var Mixes = map[string]Mix{
 			return request{
 				Class: ClassCold,
 				Path:  "/v1/sim",
-				Body:  simBody(apps[i%len(apps)], uniqueSeedBase+uint64(i)),
+				Body:  simBody(apps[i%len(apps)], uniqueSeed(seed, i)),
 			}
 		},
 	},

@@ -299,12 +299,6 @@ func (m *MemSys) Submit(r Request) {
 	}
 }
 
-// Pending reports whether any queue still holds work (completions alone do
-// not require uncore ticks; they are drained by PopDone).
-func (m *MemSys) Pending() bool {
-	return m.bankOcc > 0 || m.dramQ.len() > 0
-}
-
 // NextTickAfter returns the first uncore cycle boundary strictly after t,
 // advancing the internal cycle cursor model. The uncore grid is anchored
 // at time zero.

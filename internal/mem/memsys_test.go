@@ -173,13 +173,13 @@ func TestScheduleLocalMarksL1Hit(t *testing.T) {
 	}
 }
 
-func TestPendingAndQueueDepth(t *testing.T) {
+func TestQueueDepth(t *testing.T) {
 	m := NewMemSys(testConfig())
-	if m.Pending() || m.QueueDepth() != 0 {
+	if m.QueueDepth() != 0 {
 		t.Fatal("fresh memsys reports pending work")
 	}
 	m.Submit(Request{Addr: 0x40})
-	if !m.Pending() || m.QueueDepth() != 1 {
+	if m.QueueDepth() != 1 {
 		t.Fatal("submitted request not visible")
 	}
 }

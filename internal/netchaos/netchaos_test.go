@@ -53,6 +53,36 @@ func TestParseLevelAndErrors(t *testing.T) {
 	}
 }
 
+// FuzzNetchaosSpec: canonical specs name fault schedules, so for any
+// spec Parse accepts, String must reparse to the same String — and,
+// when the config injects anything, to an equal Config.
+func FuzzNetchaosSpec(f *testing.F) {
+	for _, spec := range []string{
+		"", "flip=0.2,stall=0.1,dlat=50ms,seed=9", "level=0.2,seed=5", "level=0.35",
+		"refuse=0.1,dlat=1h2m,hlat=1ns,trunc=1,e5xx=0.3,e429=0.05,reset=0.15,dup=0.125",
+		" hlat = 0.5us , seed=18446744073709551615", "dup=-0,dlat=0s",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		c, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		canon := c.String()
+		c2, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, its String %q rejected: %v", spec, canon, err)
+		}
+		if c2.String() != canon {
+			t.Fatalf("String of %q is %q, which reparses to %q", spec, canon, c2.String())
+		}
+		if c.Enabled() && c2 != c {
+			t.Fatalf("%q: %+v reparses from %q to %+v", spec, c, canon, c2)
+		}
+	})
+}
+
 func TestPlanDeterminism(t *testing.T) {
 	cfg := Level(0.4, 77)
 	a, b := NewEngine(cfg), NewEngine(cfg)

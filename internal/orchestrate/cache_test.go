@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"pcstall/internal/dvfs"
@@ -56,6 +57,47 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	if c2.Len() != 1 {
 		t.Fatalf("len %d", c2.Len())
+	}
+}
+
+// TestCacheLoadsLinesWithRecordsField: results written before the run
+// result lost its always-null "Records" field must still load, and equal
+// what the current code writes, so existing cache directories stay warm.
+func TestCacheLoadsLinesWithRecordsField(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := testJob(4)
+	r := &dvfs.Result{Policy: "PCSTALL", Objective: "ED2P", Residency: []float64{0.25, 0.75}, Epochs: 7}
+	if err := c.Put(j.Key(), j, r); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	path := filepath.Join(dir, ResultsFile)
+	line, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(line, []byte("}}\n"), []byte(`,"Records":null}}`+"\n"), 1)
+	if bytes.Equal(old, line) || !bytes.Contains(old, []byte(`"Records":null`)) {
+		t.Fatalf("could not rewrite the cache line into the older shape: %s", line)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	got, ok := c2.Get(j.Key())
+	if !ok {
+		t.Fatalf("line carrying \"Records\":null did not load: %s", old)
+	}
+	if !reflect.DeepEqual(got, r) {
+		t.Fatalf("loaded %+v, wrote %+v", got, r)
 	}
 }
 

@@ -1,12 +1,19 @@
 package sim_test
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pcstall/internal/clock"
 	"pcstall/internal/isa"
+	"pcstall/internal/orchestrate"
 	"pcstall/internal/sim"
+	"pcstall/internal/wire"
 	"pcstall/internal/workload"
 )
 
@@ -102,72 +109,94 @@ func TestThrottledWavesWakeFIFO(t *testing.T) {
 // TestMaxCyclesBudgetMatchesLegacy: the cycle budget must measure
 // simulated work, not loop iterations — leaping over a known-busy span
 // still charges every skipped cycle. A budget-limited run must therefore
-// trip at the same simulated time under the event-driven loop as under
-// the legacy per-cycle loop.
+// trip at the simulated time and cycle count recorded from the per-cycle
+// loop the event-driven one replaced.
 func TestMaxCyclesBudgetMatchesLegacy(t *testing.T) {
-	run := func(legacy bool) *sim.GPU {
-		cfg := sim.DefaultConfig(2)
-		cfg.LegacyTick = legacy
-		cfg.MaxCycles = 20_000
-		a := workload.MustBuild("xsbench", workload.DefaultGenConfig(2))
-		g, err := sim.New(cfg, a.Kernels, a.Launches)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.RunUntil(clock.Millisecond)
-		return g
+	cfg := sim.DefaultConfig(2)
+	cfg.MaxCycles = 20_000
+	a := workload.MustBuild("xsbench", workload.DefaultGenConfig(2))
+	g, err := sim.New(cfg, a.Kernels, a.Launches)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ev, lg := run(false), run(true)
-	if ev.Stuck == nil || lg.Stuck == nil {
-		t.Fatalf("budget did not trip: event %v, legacy %v", ev.Stuck, lg.Stuck)
+	g.RunUntil(clock.Millisecond)
+	if g.Stuck == nil || g.Stuck.Kind != sim.DeadlockCycleLimit {
+		t.Fatalf("budget did not trip: %v", g.Stuck)
 	}
-	if ev.Now != lg.Now {
-		t.Fatalf("budget tripped at %dps under the event loop but %dps under the legacy loop", ev.Now, lg.Now)
-	}
-	if ev.Cycles != lg.Cycles {
-		t.Fatalf("budget charged %d cycles under the event loop but %d under the legacy loop", ev.Cycles, lg.Cycles)
-	}
+	checkGolden(t, "max_cycles.golden",
+		"where a 20000-cycle budget trips on xsbench at 2 CUs run to 1ms: the watchdog's (Now, Cycles), then the GPU's",
+		[]string{fmt.Sprintf("xsbench cus=2 max_cycles=%d stuck_now=%d stuck_cycles=%d now=%d cycles=%d",
+			cfg.MaxCycles, g.Stuck.Now, g.Stuck.Cycles, g.Now, g.Cycles)})
 }
 
-// TestEventLoopMatchesLegacyEpochStream is the differential property test
-// for the RunUntil rewrite: across seeds and workloads, the event-driven
-// loop must produce byte-identical epoch sample streams to the legacy
-// per-cycle loop — same counters, same per-wave records, same finish
-// state, epoch by epoch.
+// TestEventLoopMatchesLegacyEpochStream pins the event-driven RunUntil to
+// the epoch sample streams recorded from the per-cycle loop it replaced:
+// across seeds and workloads, every epoch's counters and per-wave records
+// and the final finish state must digest to the recorded values.
 func TestEventLoopMatchesLegacyEpochStream(t *testing.T) {
-	for _, app := range []string{"xsbench", "dgemm"} {
-		for _, seed := range []uint64{1, 2, 3} {
+	apps, seeds := []string{"xsbench", "dgemm"}, []uint64{1, 2, 3}
+	var lines []string
+	for _, app := range apps {
+		for _, seed := range seeds {
 			t.Run(app, func(t *testing.T) {
 				gen := workload.DefaultGenConfig(4)
 				gen.Seed = seed
 				gen.Scale = 0.25
 				a := workload.MustBuild(app, gen)
-				build := func(legacy bool) *sim.GPU {
-					cfg := sim.DefaultConfig(4)
-					cfg.LegacyTick = legacy
-					g, err := sim.New(cfg, a.Kernels, a.Launches)
+				cfg := sim.DefaultConfig(4)
+				cfg.Seed = seed
+				g, err := sim.New(cfg, a.Kernels, a.Launches)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var (
+					es     sim.EpochSample
+					stream []byte
+					epochs int
+				)
+				for ; epochs < 30 && !g.Finished; epochs++ {
+					g.RunUntil(clock.Time(epochs+1) * clock.Microsecond)
+					g.CollectEpoch(&es)
+					b, err := json.Marshal(&es)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return g
+					stream = append(append(stream, b...), '\n')
 				}
-				ev, lg := build(false), build(true)
-				var esE, esL sim.EpochSample
-				for epoch := 0; epoch < 30 && !ev.Finished; epoch++ {
-					end := clock.Time(epoch+1) * clock.Microsecond
-					ev.RunUntil(end)
-					lg.RunUntil(end)
-					ev.CollectEpoch(&esE)
-					lg.CollectEpoch(&esL)
-					if !reflect.DeepEqual(esE, esL) {
-						t.Fatalf("seed %d epoch %d: event-driven sample diverges from legacy", seed, epoch)
-					}
-				}
-				if ev.Finished != lg.Finished || ev.Now != lg.Now || ev.Cycles != lg.Cycles {
-					t.Fatalf("seed %d: end state diverged (finished %v/%v, now %d/%d, cycles %d/%d)",
-						seed, ev.Finished, lg.Finished, ev.Now, lg.Now, ev.Cycles, lg.Cycles)
-				}
+				lines = append(lines, fmt.Sprintf("%s seed=%d epochs=%d stream=%s finished=%v now=%d cycles=%d",
+					app, seed, epochs, wire.Digest(stream), g.Finished, g.Now, g.Cycles))
 			})
 		}
+	}
+	if len(lines) != len(apps)*len(seeds) {
+		return // a -run filter or a failed subtest left the set partial; the file is compared whole
+	}
+	checkGolden(t, "epoch_stream.golden",
+		"4 CUs, scale 0.25, workload and sim seeded alike, up to 30 1us epochs; stream = digest of the epochs' EpochSample JSON, one per line",
+		lines)
+}
+
+// checkGolden compares lines against the data lines of testdata/name.
+// The file's first line names the SimVersion it was recorded at; lines
+// starting with '#' are otherwise comments. On any mismatch the test
+// prints the file content the code now produces, so a deliberate change
+// is re-recorded by replacing the file with it.
+func checkGolden(t *testing.T, name, about string, lines []string) {
+	t.Helper()
+	header := "# sim-version " + orchestrate.SimVersion
+	want := header + "\n# " + about + "\n" + strings.Join(lines, "\n") + "\n"
+	path := filepath.Join("testdata", name)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v; record it as:\n%s", err, want)
+	}
+	var got []string
+	for _, l := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
+		if !strings.HasPrefix(l, "#") {
+			got = append(got, l)
+		}
+	}
+	if !strings.HasPrefix(string(raw), header+"\n") || !reflect.DeepEqual(got, lines) {
+		t.Fatalf("%s does not match this build; if the change is deliberate, replace the file with:\n%s", path, want)
 	}
 }

@@ -31,12 +31,6 @@ type Config struct {
 	// (skipped spans included); when the budget runs out RunUntil stops
 	// with a DeadlockCycleLimit diagnostic in GPU.Stuck. 0 means unbounded.
 	MaxCycles int64
-	// LegacyTick selects the pre-event-driven RunUntil structure, which
-	// re-schedules a CU after every individual memory completion instead
-	// of once per completion batch. Both loops produce byte-identical
-	// EpochSample streams; the flag exists so differential tests can prove
-	// it. New code should leave it false.
-	LegacyTick bool
 }
 
 // DefaultConfig returns the paper's platform scaled by numCUs: per-CU V/f
@@ -396,10 +390,6 @@ func (g *GPU) applyCompletion(r mem.Request, now clock.Time) {
 // navigable: further RunUntil calls just advance Now so callers' epoch
 // loops terminate instead of spinning.
 func (g *GPU) RunUntil(limit clock.Time) {
-	if g.Cfg.LegacyTick {
-		g.runUntilLegacy(limit)
-		return
-	}
 	// The three event sources — CU tick schedule, uncore tick, completion
 	// queue — are cached across iterations and refreshed only when they
 	// can actually have moved: the tick schedule after a drain or a CU
@@ -425,7 +415,7 @@ func (g *GPU) RunUntil(limit clock.Time) {
 		g.Now = t
 
 		// Apply the whole completion batch, then re-schedule each touched
-		// CU once. Per-completion re-scheduling (the legacy structure) is
+		// CU once. Re-scheduling after every completion would be
 		// equivalent — scheduleCU is a pure recomputation, and same-time
 		// zero-duration idle intervals contribute nothing — but does the
 		// heap and idle bookkeeping once per completion instead of once
@@ -528,72 +518,6 @@ func (g *GPU) RunUntil(limit clock.Time) {
 		ci, ck = g.heap.min()
 		if g.memDirty {
 			nd, ndok = g.Msys.NextDone()
-		}
-	}
-	if !g.Finished && g.Now < limit {
-		g.Now = limit
-	}
-}
-
-// runUntilLegacy is the pre-event-driven loop structure, retained behind
-// Config.LegacyTick so differential tests can prove the event-driven loop
-// produces byte-identical results. It re-schedules a CU after every
-// individual completion instead of once per batch; everything else —
-// tick, applyCompletion, cycle accounting — is shared.
-func (g *GPU) runUntilLegacy(limit clock.Time) {
-	for !g.Finished && g.Stuck == nil {
-		_, t := g.heap.min()
-		if g.memTickAt < t {
-			t = g.memTickAt
-		}
-		if dt, ok := g.Msys.NextDone(); ok && dt < t {
-			t = dt
-		}
-		if t == InfTime {
-			g.Stuck = g.diagnoseStall()
-			break
-		}
-		if t > limit {
-			break
-		}
-		g.Now = t
-
-		g.doneBuf = g.Msys.PopDone(t, g.doneBuf[:0])
-		for _, r := range g.doneBuf {
-			if g.Finished {
-				break
-			}
-			g.applyCompletion(r, t)
-			g.scheduleCU(&g.CUs[r.CU], t)
-		}
-		if g.Finished {
-			break
-		}
-
-		if g.memTickAt == t {
-			g.Msys.Tick(t)
-			if g.Msys.Pending() {
-				g.memTickAt = g.Msys.NextTickAfter(t)
-			} else {
-				g.memTickAt = InfTime
-			}
-		}
-
-		for {
-			i, k := g.heap.min()
-			if k != t {
-				break
-			}
-			g.CUs[i].tick(g, t)
-			if g.Cfg.MaxCycles > 0 && g.Cycles >= g.Cfg.MaxCycles && !g.Finished && g.Stuck == nil {
-				g.Stuck = &DeadlockError{
-					Kind: DeadlockCycleLimit, Now: t, Cycles: g.Cycles,
-					Waiting: g.residentWaves(),
-				}
-			}
-			if g.Finished || g.Stuck != nil {
-				break
-			}
 		}
 	}
 	if !g.Finished && g.Now < limit {

@@ -1,10 +1,11 @@
 // Package trace records per-epoch DVFS run events in machine-readable
 // formats (JSON Lines and CSV) so runs can be inspected, diffed, and
-// plotted outside the simulator. The dvfs runner emits one EpochEvent per
-// epoch when a Recorder is attached.
+// plotted outside the simulator, or keeps them in memory (Collector).
+// The dvfs runner emits one EpochEvent per epoch when a Recorder is
+// attached; EpochEvent is the run's only per-epoch record.
 //
 // Concurrency contract: runs may execute in parallel (the orchestrated
-// experiment sweeps), so the JSONL and CSV recorders serialize Epoch
+// experiment sweeps), so the package's recorders serialize Epoch
 // calls with an internal mutex — each event is written atomically, and
 // sharing one recorder across concurrent runs is safe, though events
 // from different runs interleave. For per-run files, attach one recorder
@@ -153,6 +154,29 @@ func (c *CSV) Close() error {
 	defer c.mu.Unlock()
 	c.w.Flush()
 	return c.w.Error()
+}
+
+// Collector keeps every event in memory, in arrival order: the recorder
+// for callers that read a run's epochs back after it ends. The zero
+// value is ready to use. Safe for concurrent use.
+type Collector struct {
+	mu     sync.Mutex
+	events []EpochEvent
+}
+
+// Epoch implements Recorder.
+func (c *Collector) Epoch(e EpochEvent) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.events = append(c.events, e)
+	return nil
+}
+
+// Events returns the events recorded so far.
+func (c *Collector) Events() []EpochEvent {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]EpochEvent(nil), c.events...)
 }
 
 // Multi fans one event out to several recorders.

@@ -240,3 +240,41 @@ func TestMultiClose(t *testing.T) {
 		t.Fatal("Multi.Close dropped the failing member's error")
 	}
 }
+
+// TestCollectorConcurrentWriters: a Collector shared by concurrent runs
+// keeps every event intact, and Events hands back a copy the recorder
+// does not write into afterwards.
+func TestCollectorConcurrentWriters(t *testing.T) {
+	var c Collector
+	const writers, perWriter = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, e := range events(perWriter, 2) {
+				e.Index += w * perWriter
+				if err := c.Epoch(e); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	got := c.Events()
+	if len(got) != writers*perWriter {
+		t.Fatalf("%d events, want %d", len(got), writers*perWriter)
+	}
+	seen := map[int]bool{}
+	for _, e := range got {
+		if seen[e.Index] || len(e.Domains) != 2 {
+			t.Fatalf("event %d duplicated or torn: %+v", e.Index, e)
+		}
+		seen[e.Index] = true
+	}
+	_ = c.Epoch(EpochEvent{Index: -1})
+	if len(got) != writers*perWriter || got[len(got)-1].Index == -1 {
+		t.Fatal("a later Epoch changed a slice Events already returned")
+	}
+}

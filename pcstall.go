@@ -61,6 +61,8 @@ type (
 	// returned (wrapped) by runs that stop making progress or exhaust
 	// their cycle budget. Unwrap with errors.As.
 	DeadlockError = sim.DeadlockError
+	// TraceCollector keeps a run's per-epoch events in memory (Events).
+	TraceCollector = trace.Collector
 )
 
 // Common durations, re-exported for configuration convenience.
@@ -104,10 +106,8 @@ type Config struct {
 	Scale float64
 	// MaxTime caps simulated time per run (safety; default 100ms).
 	MaxTime Time
-	// Record keeps per-epoch records in results.
-	Record bool
 	// Trace, when non-nil, receives one event per epoch (see
-	// internal/trace for JSONL/CSV recorders).
+	// NewJSONLTrace, NewCSVTrace and TraceCollector).
 	Trace trace.Recorder
 	// Thermal enables temperature-dependent leakage (§5); nil keeps
 	// leakage at the nominal temperature.
@@ -199,7 +199,6 @@ func RunDesign(app string, d Design, cfg Config) (Result, error) {
 		Obj:       cfg.Objective,
 		PM:        cfg.Power,
 		MaxTime:   cfg.MaxTime,
-		Record:    cfg.Record,
 		Trace:     cfg.Trace,
 		Thermal:   cfg.Thermal,
 		Metrics:   cfg.Metrics,
