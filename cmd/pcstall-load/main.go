@@ -5,19 +5,16 @@
 // Usage:
 //
 //	pcstall-load -targets http://127.0.0.1:8080 -mix cachehot -rate 50 -duration 10s
-//	pcstall-load -validate BENCH_serve.json
 //
-// One invocation is one offered-load point for one mix; sweep rates
-// (and server variants via -label) across invocations with -append to
-// accumulate curves into one BENCH_serve.json. The arrival schedule is
-// fixed up front from -seed — the harness keeps offering load at the
-// scheduled instants even while the server sheds, so shed rate is
-// measured against a truthful offered rate rather than a client that
-// politely backed off.
+// One invocation is one offered-load point for one mix. The arrival
+// schedule is fixed up front from -seed — the harness keeps offering
+// load at the scheduled instants even while the server sheds, so shed
+// rate is measured against a truthful offered rate rather than a client
+// that politely backed off.
 //
 // Exit status: 0 on a clean run; 1 when the run recorded harness errors
-// or digest corruption, when -max-shed is exceeded, or when validation
-// fails; 2 on usage errors.
+// or digest corruption, when -max-shed is exceeded, or when the report
+// fails its consistency check; 2 on usage errors.
 package main
 
 import (
@@ -42,11 +39,8 @@ func main() {
 	seed := flag.Uint64("seed", 1, "schedule and request-sequence seed")
 	apps := flag.String("apps", "comd", "comma-separated workloads for sim configs")
 	figures := flag.String("figures", "10", "comma-separated figure ids for figure-lane traffic")
-	label := flag.String("label", "", "server-variant label recorded in the report (e.g. baseline, lru+lanes)")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request timeout")
-	out := flag.String("out", "", "append the report to this BENCH_serve.json (created if absent)")
 	maxShed := flag.Int("max-shed", -1, "fail (exit 1) if total sheds exceed this (-1 disables the check)")
-	validate := flag.String("validate", "", "validate an existing BENCH_serve.json and exit")
 	listMixes := flag.Bool("mixes", false, "list the built-in mixes and exit")
 	showVersion := flag.Bool("version", false, "print the version and exit")
 	flag.Parse()
@@ -65,15 +59,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pcstall-load: unexpected arguments %v\n", flag.Args())
 		os.Exit(2)
 	}
-	if *validate != "" {
-		b, err := load.ReadBench(*validate)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pcstall-load: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("pcstall-load: %s: %d runs, schema %s, valid\n", *validate, len(b.Runs), b.Schema)
-		return
-	}
 	if *mix == "" {
 		fmt.Fprintf(os.Stderr, "pcstall-load: -mix is required (available: %s)\n", strings.Join(load.MixNames(), ", "))
 		os.Exit(2)
@@ -91,7 +76,6 @@ func main() {
 		Apps:     splitList(*apps),
 		Figures:  splitList(*figures),
 		Timeout:  *timeout,
-		Label:    *label,
 		Log:      os.Stderr,
 	})
 	if err != nil {
@@ -102,13 +86,6 @@ func main() {
 	if err := rep.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "pcstall-load: report failed validation: %v\n", err)
 		os.Exit(1)
-	}
-	if *out != "" {
-		if err := load.AppendBench(*out, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "pcstall-load: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "pcstall-load: appended to %s\n", *out)
 	}
 	fail := false
 	if rep.Errors > 0 || rep.Corrupt > 0 {

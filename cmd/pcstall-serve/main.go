@@ -60,8 +60,8 @@ func main() {
 	maxMs := flag.Int64("max-ms", int64(cfg.MaxTime/clock.Millisecond), "default per-run simulated time cap (ms)")
 	workers := flag.Int("j", runtime.NumCPU(), "parallel simulation workers")
 	queue := flag.Int("queue", 64, "max admitted-but-unfinished cold-sim jobs before requests shed with 429")
-	figQueue := flag.Int("figure-queue", 0, "max admitted-but-unfinished figure jobs on their own lane (0 = 16; negative shares the sim lane)")
-	bodyCacheBytes := flag.Int64("body-cache-bytes", 0, "byte budget for the rendered-body LRU hot tier (0 = 32 MiB; negative disables)")
+	figQueue := flag.Int("figure-queue", 0, "max admitted-but-unfinished figure jobs on their own lane (0 = 16; negative is an error)")
+	bodyCacheBytes := flag.Int64("body-cache-bytes", 0, "byte budget for the rendered-body LRU hot tier (0 = 32 MiB; negative is an error)")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent result cache (shared with pcstall-exp)")
 	noCache := flag.Bool("no-cache", false, "ignore the disk cache: neither read nor write it")
 	manifest := flag.String("manifest", "", "manifest path flushed on drain (default: <cache-dir>/manifest.json when -cache-dir is set)")

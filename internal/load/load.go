@@ -54,8 +54,6 @@ type Config struct {
 	Figures []string
 	// Timeout bounds each request (default 60s).
 	Timeout time.Duration
-	// Label tags the resulting report (e.g. "baseline", "lru+lanes").
-	Label string
 	// Client overrides the HTTP client (tests); nil builds one from
 	// Timeout.
 	Client *http.Client
@@ -138,6 +136,11 @@ func (e *etagStore) put(body, etag string) {
 	e.m[body] = etag
 }
 
+// maxArrivals caps a run's expected arrival count (rate × window). The
+// whole schedule and request sequence are built before the first send,
+// so an absurd rate would otherwise allocate without bound.
+const maxArrivals = 1 << 20
+
 // Run executes one open-loop load run and returns its report. ctx
 // cancellation stops dispatching new arrivals (already-fired requests
 // run to their own timeouts); the report then covers what was sent.
@@ -145,8 +148,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if len(cfg.Targets) == 0 {
 		return nil, fmt.Errorf("load: no targets")
 	}
-	if cfg.Rate <= 0 || cfg.Duration <= 0 {
-		return nil, fmt.Errorf("load: rate (%v) and duration (%v) must be positive", cfg.Rate, cfg.Duration)
+	if math.IsNaN(cfg.Rate) || math.IsInf(cfg.Rate, 0) || cfg.Rate <= 0 || cfg.Duration <= 0 {
+		return nil, fmt.Errorf("load: rate (%v) must be finite and positive and duration (%v) positive", cfg.Rate, cfg.Duration)
+	}
+	if n := cfg.Rate * cfg.Duration.Seconds(); n > maxArrivals {
+		return nil, fmt.Errorf("load: rate %v/s over %v plans about %.3g arrivals, more than the %d one run may schedule", cfg.Rate, cfg.Duration, n, maxArrivals)
 	}
 	mix, ok := Mixes[cfg.Mix]
 	if !ok {

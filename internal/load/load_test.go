@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -354,50 +355,19 @@ func TestRunRoundRobin(t *testing.T) {
 // TestRunConfigErrors: bad configs are refused up front.
 func TestRunConfigErrors(t *testing.T) {
 	cases := []Config{
-		{Mix: "unique", Rate: 1, Duration: time.Second},                                     // no targets
-		{Targets: []string{"http://x"}, Mix: "nope", Rate: 1, Duration: time.Second},        // unknown mix
-		{Targets: []string{"http://x"}, Mix: "unique", Rate: 0, Duration: time.Second},      // zero rate
-		{Targets: []string{"http://x"}, Mix: "unique", Rate: 1, Duration: -1 * time.Second}, // negative window
+		{Mix: "unique", Rate: 1, Duration: time.Second},                                              // no targets
+		{Targets: []string{"http://x"}, Mix: "nope", Rate: 1, Duration: time.Second},                 // unknown mix
+		{Targets: []string{"http://x"}, Mix: "unique", Rate: 0, Duration: time.Second},               // zero rate
+		{Targets: []string{"http://x"}, Mix: "unique", Rate: 1, Duration: -1 * time.Second},          // negative window
+		{Targets: []string{"http://x"}, Mix: "unique", Rate: math.NaN(), Duration: time.Second},      // NaN rate
+		{Targets: []string{"http://x"}, Mix: "unique", Rate: math.Inf(1), Duration: time.Second},     // +Inf rate
+		{Targets: []string{"http://x"}, Mix: "unique", Rate: 1e12, Duration: 5 * time.Second},        // over the arrival cap
+		{Targets: []string{"http://x"}, Mix: "unique", Rate: maxArrivals + 1, Duration: time.Second}, // just over the cap
 	}
 	for i, cfg := range cases {
 		if _, err := Run(context.Background(), cfg); err == nil {
 			t.Errorf("case %d: no error for invalid config %+v", i, cfg)
 		}
-	}
-}
-
-// TestBenchAppendValidate: AppendBench builds a valid multi-run file,
-// ReadBench round-trips it, and a corrupted file is refused.
-func TestBenchAppendValidate(t *testing.T) {
-	srv := httptest.NewServer(stampedHandler(nil))
-	defer srv.Close()
-	path := t.TempDir() + "/BENCH_serve.json"
-
-	for i, label := range []string{"baseline", "lru+lanes"} {
-		rep, err := Run(context.Background(), Config{
-			Targets:  []string{srv.URL},
-			Mix:      "cachehot",
-			Rate:     200,
-			Duration: 50 * time.Millisecond,
-			Seed:     uint64(10 + i),
-			Label:    label,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := AppendBench(path, rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b, err := ReadBench(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Runs) != 2 || b.Runs[0].Label != "baseline" || b.Runs[1].Label != "lru+lanes" {
-		t.Fatalf("bench runs = %d (%+v)", len(b.Runs), b.Runs)
-	}
-	if _, err := ReadBench(t.TempDir() + "/missing.json"); err == nil {
-		t.Error("missing file read without error")
 	}
 }
 

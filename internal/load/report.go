@@ -1,22 +1,15 @@
 package load
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"time"
 )
 
-// BenchSchema versions the BENCH_serve.json layout.
-const BenchSchema = "pcstall/bench-serve/v1"
-
-// Report is one load run: one mix at one offered-load point against one
-// server variant. Reports are the rows of BENCH_serve.json.
+// Report is one load run: one mix at one offered-load point.
 type Report struct {
-	Label       string  `json:"label"` // server variant, e.g. "baseline" / "lru+lanes"
 	Mix         string  `json:"mix"`
 	Seed        uint64  `json:"seed"`
 	Targets     int     `json:"targets"`
@@ -68,7 +61,6 @@ type ClassStats struct {
 
 func newReport(cfg Config, offered, sent int, wall time.Duration) *Report {
 	return &Report{
-		Label:       cfg.Label,
 		Mix:         cfg.Mix,
 		Seed:        cfg.Seed,
 		Targets:     len(cfg.Targets),
@@ -163,8 +155,8 @@ func (rep *Report) TotalShed() int {
 	return total
 }
 
-// Validate checks one report's internal consistency — the schema gate
-// CI runs on every generated BENCH_serve.json row.
+// Validate checks one report's internal consistency; pcstall-load exits
+// 1 on a report that fails it.
 func (rep *Report) Validate() error {
 	var errs []error
 	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
@@ -212,12 +204,8 @@ func (rep *Report) Validate() error {
 
 // Fprint renders the human summary.
 func (rep *Report) Fprint(w io.Writer) {
-	label := rep.Label
-	if label == "" {
-		label = "-"
-	}
-	fmt.Fprintf(w, "mix=%s label=%s offered=%d sent=%d rate=%.1f/s window=%.1fs wall=%.1fs errors=%d corrupt=%d\n",
-		rep.Mix, label, rep.Offered, rep.Sent, rep.OfferedRPS, rep.DurationSec, rep.WallSec, rep.Errors, rep.Corrupt)
+	fmt.Fprintf(w, "mix=%s offered=%d sent=%d rate=%.1f/s window=%.1fs wall=%.1fs errors=%d corrupt=%d\n",
+		rep.Mix, rep.Offered, rep.Sent, rep.OfferedRPS, rep.DurationSec, rep.WallSec, rep.Errors, rep.Corrupt)
 	fmt.Fprintf(w, "  %-8s %6s %6s %5s %5s %5s %4s %9s %8s %8s %8s\n",
 		"class", "sent", "ok", "304", "shed", "unavl", "err", "goodput/s", "p50ms", "p95ms", "p99ms")
 	for _, class := range []string{ClassCached, ClassCold, ClassFigure} {
@@ -229,68 +217,4 @@ func (rep *Report) Fprint(w io.Writer) {
 			class, cs.Sent, cs.OK, cs.NotModified, cs.Shed, cs.Unavailable, cs.Errors,
 			cs.GoodputRPS, cs.P50Ms, cs.P95Ms, cs.P99Ms)
 	}
-}
-
-// Bench is the BENCH_serve.json file: a schema tag over accumulated
-// runs, so before/after variants and offered-load sweeps live in one
-// document.
-type Bench struct {
-	Schema string    `json:"schema"`
-	Note   string    `json:"note,omitempty"`
-	Runs   []*Report `json:"runs"`
-}
-
-// Validate checks the whole file.
-func (b *Bench) Validate() error {
-	var errs []error
-	if b.Schema != BenchSchema {
-		errs = append(errs, fmt.Errorf("schema %q, want %q", b.Schema, BenchSchema))
-	}
-	if len(b.Runs) == 0 {
-		errs = append(errs, fmt.Errorf("no runs"))
-	}
-	for i, r := range b.Runs {
-		if err := r.Validate(); err != nil {
-			errs = append(errs, fmt.Errorf("run %d (%s/%s): %w", i, r.Label, r.Mix, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// ReadBench loads and validates a BENCH_serve.json.
-func ReadBench(path string) (*Bench, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b Bench
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("load: parsing %s: %w", path, err)
-	}
-	if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("load: %s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// AppendBench merges rep into the bench file at path, creating it if
-// absent, and writes the result back validated.
-func AppendBench(path string, rep *Report) error {
-	b := &Bench{Schema: BenchSchema}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &b); err != nil {
-			return fmt.Errorf("load: parsing existing %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	b.Runs = append(b.Runs, rep)
-	if err := b.Validate(); err != nil {
-		return fmt.Errorf("load: refusing to write invalid %s: %w", path, err)
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -18,9 +18,6 @@ import (
 // matching keys means matching bodies, byte for byte. Entries are only
 // ever populated from settled-OK renders, and the stored slices are
 // treated as immutable by every reader (settle publishes them read-only).
-//
-// A nil *bodyCache is valid and disables the tier: every method is a
-// cheap nil check, mirroring the telemetry idiom.
 type bodyCache struct {
 	mu    sync.Mutex
 	max   int64 // byte budget across stored bodies
@@ -37,12 +34,8 @@ type bodyEntry struct {
 	digest string
 }
 
-// newBodyCache builds a cache bounded to max bytes of stored bodies;
-// max <= 0 disables the tier (returns nil).
+// newBodyCache builds a cache bounded to max bytes of stored bodies.
 func newBodyCache(max int64) *bodyCache {
-	if max <= 0 {
-		return nil
-	}
 	return &bodyCache{
 		max:   max,
 		ll:    list.New(),
@@ -53,9 +46,6 @@ func newBodyCache(max int64) *bodyCache {
 // get returns the cached body and digest for key, refreshing its
 // recency. The returned slice must not be mutated.
 func (c *bodyCache) get(key string) (body []byte, digest string, ok bool) {
-	if c == nil {
-		return nil, "", false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
@@ -72,7 +62,7 @@ func (c *bodyCache) get(key string) (body []byte, digest string, ok bool) {
 // budget is not stored (it would evict everything for one entry). put
 // reports how many entries were evicted, so the caller can count them.
 func (c *bodyCache) put(key string, body []byte, digest string) (evicted int) {
-	if c == nil || int64(len(body)) > c.max {
+	if int64(len(body)) > c.max {
 		return 0
 	}
 	c.mu.Lock()
@@ -101,9 +91,6 @@ func (c *bodyCache) put(key string, body []byte, digest string) (evicted int) {
 
 // stats snapshots the cache shape for gauges.
 func (c *bodyCache) stats() (entries int, bytes int64) {
-	if c == nil {
-		return 0, 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len(), c.size

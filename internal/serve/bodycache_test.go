@@ -7,7 +7,7 @@ import (
 )
 
 // TestBodyCacheBasics: put/get round-trips bytes and digest, a missing
-// key misses, and a nil cache is inert.
+// key misses.
 func TestBodyCacheBasics(t *testing.T) {
 	c := newBodyCache(1 << 10)
 	body := []byte(`{"x":1}`)
@@ -20,20 +20,6 @@ func TestBodyCacheBasics(t *testing.T) {
 	}
 	if _, _, ok := c.get("nope"); ok {
 		t.Fatal("get on a missing key reported a hit")
-	}
-
-	var nilCache *bodyCache
-	if _, _, ok := nilCache.get("k1"); ok {
-		t.Fatal("nil cache reported a hit")
-	}
-	if ev := nilCache.put("k1", body, "d1"); ev != 0 {
-		t.Fatal("nil cache put evicted")
-	}
-	if e, b := nilCache.stats(); e != 0 || b != 0 {
-		t.Fatalf("nil cache stats = (%d, %d)", e, b)
-	}
-	if newBodyCache(0) != nil || newBodyCache(-1) != nil {
-		t.Fatal("non-positive budget must disable the tier")
 	}
 }
 

@@ -81,31 +81,6 @@ func TestBodyLRUHit(t *testing.T) {
 	}
 }
 
-// TestBodyLRUDisabled: a negative BodyCacheBytes turns the tier off —
-// identical requests still answer byte-identically (singleflight on the
-// settled job), but nothing counts as a body-cache hit.
-func TestBodyLRUDisabled(t *testing.T) {
-	backend := &stubBackend{}
-	s, reg := newTestServer(t, backend, func(c *Config) {
-		c.BodyCacheBytes = -1
-	})
-	first := postSim(t, s.Handler(), simBody(22))
-	second := postSim(t, s.Handler(), simBody(22))
-	if first.Code != http.StatusOK || second.Code != http.StatusOK {
-		t.Fatalf("codes %d, %d", first.Code, second.Code)
-	}
-	if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
-		t.Error("bodies diverged with the LRU disabled")
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["serve_body_cache_hits_total"]; got != 0 {
-		t.Errorf("serve_body_cache_hits_total = %d, want 0 when disabled", got)
-	}
-	if got := snap.Counters["serve_singleflight_hits_total"]; got != 1 {
-		t.Errorf("serve_singleflight_hits_total = %d, want 1 (settled job join)", got)
-	}
-}
-
 // TestBodyLRUCachedPromotion: a result-cache short-circuit renders once
 // and promotes the body, so the next identical request never touches
 // the result cache again.
@@ -308,44 +283,27 @@ func TestHealthzQueues(t *testing.T) {
 	}
 }
 
-// TestSharedLaneLegacy: a negative FigureQueue collapses figures onto
-// the sim lane — the pre-lane aggregate discipline. Sheds count under
-// class "all" and /healthz reports the single shared lane.
-func TestSharedLaneLegacy(t *testing.T) {
-	backend := &stubBackend{block: make(chan struct{})}
-	defer close(backend.block)
-	s, reg := newTestServer(t, backend, func(c *Config) {
-		c.MaxQueue = 1
-		c.FigureQueue = -1
-		c.Workers = 1
-	})
-
-	req := httptest.NewRequest("POST", "/v1/sim?async=1", strings.NewReader(simBody(71)))
-	w := httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, req)
-	if w.Code != http.StatusAccepted {
-		t.Fatalf("admit: status %d", w.Code)
+// TestNewRejectsNegativeSizes: a negative FigureQueue or BodyCacheBytes
+// is refused with an error naming the field, while 0 still selects the
+// defaults.
+func TestNewRejectsNegativeSizes(t *testing.T) {
+	cases := map[string]func(*Config){
+		"FigureQueue":    func(c *Config) { c.FigureQueue = -1 },
+		"BodyCacheBytes": func(c *Config) { c.BodyCacheBytes = -1 },
 	}
-
-	// In shared mode a figure sheds behind the sim backlog.
-	w = postFigure(t, s.Handler(), "5", false)
-	if w.Code != http.StatusTooManyRequests {
-		t.Fatalf("figure behind shared backlog: status %d, want 429", w.Code)
+	for field, mutate := range cases {
+		cfg := Config{Backend: &stubBackend{}, Defaults: testDefaults()}
+		mutate(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "Config."+field) {
+			t.Errorf("negative %s: err = %v, want an error naming Config.%s", field, err, field)
+		}
 	}
-	if e := decodeError(t, w); !strings.Contains(e.Error, "all admission queue full") {
-		t.Errorf("shed error does not name the shared lane: %q", e.Error)
-	}
-	if got := reg.Snapshot().Counters[`serve_shed_total{class="all"}`]; got != 1 {
-		t.Errorf(`serve_shed_total{class="all"} = %d, want 1`, got)
-	}
-
-	hw := httptest.NewRecorder()
-	s.Handler().ServeHTTP(hw, httptest.NewRequest("GET", "/healthz", nil))
-	var h healthResponse
-	if err := json.Unmarshal(hw.Body.Bytes(), &h); err != nil {
+	s, err := New(Config{Backend: &stubBackend{}, Defaults: testDefaults()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.Queues) != 1 || h.Queues["all"].Capacity != 1 {
-		t.Errorf("shared-mode /healthz queues = %+v, want one \"all\" lane with capacity 1", h.Queues)
+	if s.figure.max != defaultFigureQueue || s.bodies.max != defaultBodyCacheBytes {
+		t.Errorf("zero config: figure lane %d, body budget %d; want %d, %d",
+			s.figure.max, s.bodies.max, defaultFigureQueue, defaultBodyCacheBytes)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
@@ -89,7 +90,11 @@ func (s *Server) parseSimRequest(body io.Reader) (orchestrate.Job, time.Duration
 	if req.EpochPs != 0 {
 		j.EpochPs = req.EpochPs
 	} else if req.EpochUs != 0 {
-		j.EpochPs = int64(req.EpochUs * 1e6)
+		ps, err := toPs("epoch_us", req.EpochUs, 1e6)
+		if err != nil {
+			return j, 0, err
+		}
+		j.EpochPs = ps
 	}
 	if j.EpochPs <= 0 {
 		return j, 0, &requestError{fmt.Sprintf("epoch must be positive, got %d ps", j.EpochPs)}
@@ -123,7 +128,11 @@ func (s *Server) parseSimRequest(body io.Reader) (orchestrate.Job, time.Duration
 		j.Seed = *req.Seed
 	}
 	if req.MaxTimeMs != 0 {
-		j.MaxTimePs = int64(req.MaxTimeMs * 1e9)
+		ps, err := toPs("max_time_ms", req.MaxTimeMs, 1e9)
+		if err != nil {
+			return j, 0, err
+		}
+		j.MaxTimePs = ps
 	}
 	if req.MaxTimePs != 0 {
 		j.MaxTimePs = req.MaxTimePs
@@ -151,6 +160,19 @@ func (s *Server) parseSimRequest(body io.Reader) (orchestrate.Job, time.Duration
 		timeout = s.cfg.MaxTimeout
 	}
 	return j, timeout, nil
+}
+
+// toPs converts a fractional time field to whole picoseconds (perUnit
+// per unit). A value that truncates to zero or overflows int64 is
+// refused: either would denote a job that no explicit picosecond
+// request (what a coordinator sends) can name, so the fleet's key check
+// would reject the reply.
+func toPs(field string, v, perUnit float64) (int64, error) {
+	ps := v * perUnit
+	if ps < 1 || ps >= math.MaxInt64 {
+		return 0, &requestError{fmt.Sprintf("%s %v is out of range (1 ps to 2^63 ps)", field, v)}
+	}
+	return int64(ps), nil
 }
 
 // requestError is a client-side validation failure: it renders as a 400

@@ -93,13 +93,11 @@ type Config struct {
 	// FigureQueue bounds admitted-but-unsettled figure jobs on their own
 	// admission lane, so a backlog of expensive cold sims never sheds a
 	// figure request (and a figure backlog never sheds sims). 0 selects
-	// 16; negative collapses figures onto the sim lane — the pre-lane
-	// aggregate discipline, kept selectable for A/B load tests.
+	// 16; negative is an error.
 	FigureQueue int
 	// BodyCacheBytes bounds the in-memory LRU of rendered response
 	// bodies (the hot tier above the JSONL result cache). 0 selects
-	// 32 MiB; negative disables the tier — kept selectable so the load
-	// harness can measure before/after.
+	// 32 MiB; negative is an error.
 	BodyCacheBytes int64
 	// Workers bounds concurrently executing jobs; <= 0 selects
 	// runtime.NumCPU(). (Simulations are additionally bounded by the
@@ -151,12 +149,14 @@ const (
 
 	classCold   = "cold"
 	classFigure = "figure"
-	classAll    = "all" // shared single-lane (legacy) mode
 )
 
-// defaultBodyCacheBytes is the hot tier's byte budget when the config
-// leaves it unset: a few thousand typical rendered sim bodies.
-const defaultBodyCacheBytes int64 = 32 << 20
+// Defaults for the zero Config: the figure lane's bound, and the hot
+// tier's byte budget (a few thousand typical rendered sim bodies).
+const (
+	defaultFigureQueue          = 16
+	defaultBodyCacheBytes int64 = 32 << 20
+)
 
 // runFn computes one admitted job and returns its rendered settlement:
 // an HTTP status code plus the exact response body every attached
@@ -168,7 +168,7 @@ type runFn func(ctx context.Context) (int, []byte)
 // other's backlog. class and max are immutable after New; the counters
 // are guarded by Server.mu.
 type lane struct {
-	class string // metric label: "cold", "figure", or "all" (shared mode)
+	class string // metric label: "cold" or "figure"
 	max   int    // admitted-but-unsettled bound; beyond it requests shed
 
 	inflight int // admitted, not yet settled
@@ -177,6 +177,10 @@ type lane struct {
 	// Settled-OK run durations, for the lane's Retry-After estimate.
 	durSum time.Duration
 	durN   int64
+
+	// The lane's class-labelled series (see newLane).
+	depthGauge, runningGauge *telemetry.Gauge
+	shed                     *telemetry.Counter
 }
 
 // job is one unit of admitted (or cache-settled) work, shared by every
@@ -222,11 +226,10 @@ type Server struct {
 	sem       chan struct{}
 	figureSem chan struct{} // single-slot execution lane: Backend.Figure is not concurrent-safe
 	figureIDs map[string]bool
-	bodies    *bodyCache // hot tier of rendered bodies; nil when disabled
+	bodies    *bodyCache // hot tier of rendered bodies
 
-	// lanes maps a job kind ("sim", "figure") onto its admission lane.
-	// In shared mode (FigureQueue < 0) both kinds map to one lane.
-	lanes map[string]*lane
+	// The two admission lanes: cold simulations and figure regenerations.
+	cold, figure lane
 
 	workloads   []string
 	workloadSet map[string]bool
@@ -248,6 +251,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Backend == nil {
 		return nil, fmt.Errorf("serve: Config.Backend is required")
 	}
+	if cfg.FigureQueue < 0 {
+		return nil, fmt.Errorf("serve: Config.FigureQueue is %d; want 0 (default %d) or a positive bound", cfg.FigureQueue, defaultFigureQueue)
+	}
+	if cfg.BodyCacheBytes < 0 {
+		return nil, fmt.Errorf("serve: Config.BodyCacheBytes is %d; want 0 (default %d) or a positive budget", cfg.BodyCacheBytes, defaultBodyCacheBytes)
+	}
 	maxQueue := cfg.MaxQueue
 	if maxQueue <= 0 {
 		maxQueue = 64
@@ -267,26 +276,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ProgressEvery <= 0 {
 		cfg.ProgressEvery = 500 * time.Millisecond
 	}
-	// Admission lanes: cold sims and figures each bounded separately, or
-	// one shared lane when FigureQueue is negative (the legacy aggregate
-	// discipline the load harness A/B-tests against).
-	var lanes map[string]*lane
-	if cfg.FigureQueue < 0 {
-		shared := &lane{class: classAll, max: maxQueue}
-		lanes = map[string]*lane{kindSim: shared, kindFigure: shared}
-	} else {
-		figQueue := cfg.FigureQueue
-		if figQueue == 0 {
-			figQueue = 16
-		}
-		lanes = map[string]*lane{
-			kindSim:    {class: classCold, max: maxQueue},
-			kindFigure: {class: classFigure, max: figQueue},
-		}
-	}
-	classes := []string{lanes[kindSim].class}
-	if fl := lanes[kindFigure]; fl != lanes[kindSim] {
-		classes = append(classes, fl.class)
+	figQueue := cfg.FigureQueue
+	if figQueue == 0 {
+		figQueue = defaultFigureQueue
 	}
 	bodyBytes := cfg.BodyCacheBytes
 	if bodyBytes == 0 {
@@ -297,14 +289,15 @@ func New(cfg Config) (*Server, error) {
 		defaults:    cfg.Defaults,
 		ver:         ver,
 		baseCtx:     baseCtx,
-		tele:        newServeTelemetry(cfg.Metrics, classes),
+		tele:        newServeTelemetry(cfg.Metrics),
 		tracer:      cfg.Tracer,
 		log:         cfg.Log,
 		sem:         make(chan struct{}, workers),
 		figureSem:   make(chan struct{}, 1),
 		figureIDs:   make(map[string]bool, len(cfg.FigureIDs)),
-		bodies:      newBodyCache(bodyBytes), // nil when bodyBytes < 0
-		lanes:       lanes,
+		bodies:      newBodyCache(bodyBytes),
+		cold:        newLane(cfg.Metrics, classCold, maxQueue),
+		figure:      newLane(cfg.Metrics, classFigure, figQueue),
 		workloads:   workload.Names(),
 		workloadSet: map[string]bool{},
 		jobs:        map[string]*job{},
@@ -478,9 +471,9 @@ func (s *Server) admit(rctx context.Context, id, kind string, run runFn, detache
 	if s.draining {
 		return nil, false, false, true
 	}
-	ln := s.lanes[kind]
+	ln := s.lane(kind)
 	if ln.inflight >= ln.max {
-		s.tele.shedInc(ln.class)
+		ln.shed.Inc()
 		return nil, false, true, false
 	}
 	if s.jobs[id] != nil {
@@ -530,7 +523,7 @@ func (s *Server) admit(rctx context.Context, id, kind string, run runFn, detache
 	if s.tele != nil {
 		s.tele.jobsTotal.Inc()
 	}
-	s.gaugesLocked()
+	ln.publish()
 	s.wg.Add(1)
 	go s.runJob(j, run)
 	return j, false, false, false
@@ -569,7 +562,7 @@ func (s *Server) runJob(j *job, run runFn) {
 	j.status = statusRunning
 	j.startRun = time.Now()
 	j.lane.running++
-	s.gaugesLocked()
+	j.lane.publish()
 	s.mu.Unlock()
 	code, body := run(j.ctx)
 	s.settle(j, code, body)
@@ -609,7 +602,7 @@ func (s *Server) settle(j *job, code int, body []byte) {
 	j.lane.inflight--
 	s.doneOrder = append(s.doneOrder, j.id)
 	s.evictLocked()
-	s.gaugesLocked()
+	j.lane.publish()
 	s.mu.Unlock()
 	if code == http.StatusOK && j.kind == kindSim {
 		// The bytes were just rendered for this settlement (and its
@@ -715,25 +708,24 @@ func (s *Server) dropSettledLocked(id string) {
 // bodyPut promotes a settled-OK rendering into the hot tier and
 // publishes the tier's shape.
 func (s *Server) bodyPut(key string, body []byte, digest string) {
-	if s.bodies == nil {
-		return
-	}
 	evicted := s.bodies.put(key, body, digest)
 	entries, bytes := s.bodies.stats()
 	s.tele.bodyShape(entries, bytes, evicted)
 }
 
-// gaugesLocked publishes per-lane queue state from the counters
-// maintained at status transitions; callers hold s.mu.
-func (s *Server) gaugesLocked() {
-	if s.tele == nil {
-		return
+// lane returns the admission lane a job of kind is charged to.
+func (s *Server) lane(kind string) *lane {
+	if kind == kindFigure {
+		return &s.figure
 	}
-	sim := s.lanes[kindSim]
-	s.tele.laneGauges(sim.class, sim.inflight-sim.running, sim.running)
-	if fig := s.lanes[kindFigure]; fig != sim {
-		s.tele.laneGauges(fig.class, fig.inflight-fig.running, fig.running)
-	}
+	return &s.cold
+}
+
+// publish sets the lane's queue-shape gauges from the counters
+// maintained at status transitions; callers hold Server.mu.
+func (ln *lane) publish() {
+	ln.depthGauge.Set(float64(ln.inflight - ln.running))
+	ln.runningGauge.Set(float64(ln.running))
 }
 
 // statusClientClosed is nginx's 499 "client closed request": the job
@@ -760,20 +752,19 @@ func errCode(err error) int {
 // vice versa.
 func (s *Server) retryAfterSeconds(kind string) int {
 	s.mu.Lock()
-	ln := s.lanes[kind]
+	ln := s.lane(kind)
 	backlog := ln.inflight
 	var mean float64
 	if ln.durN > 0 {
 		mean = ln.durSum.Seconds() / float64(ln.durN)
 	}
-	shared := s.lanes[kindSim] == s.lanes[kindFigure]
 	s.mu.Unlock()
 	capacity := cap(s.sem)
-	if kind == kindFigure && !shared {
+	if kind == kindFigure {
 		capacity = cap(s.figureSem)
 	}
 	if mean == 0 {
-		if kind == kindFigure && !shared {
+		if kind == kindFigure {
 			// No settled figure observed yet. A figure regenerates a
 			// whole campaign, so guess high rather than invite an
 			// immediate re-stampede.
@@ -917,7 +908,7 @@ func (s *Server) respondAdmitted(w http.ResponseWriter, r *http.Request, j *job,
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Version: s.ver, Error: "server is draining; no new work is admitted"})
 		return
 	case shed:
-		ln := s.lanes[kind] // class and max are immutable after New
+		ln := s.lane(kind) // class and max are immutable after New
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds(kind)))
 		writeJSON(w, http.StatusTooManyRequests, apiError{
 			Version: s.ver,
@@ -1005,12 +996,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	queues := make(map[string]laneHealth, 2)
 	depth, running := 0, 0
-	sim := s.lanes[kindSim]
-	lns := []*lane{sim}
-	if fig := s.lanes[kindFigure]; fig != sim {
-		lns = append(lns, fig)
-	}
-	for _, ln := range lns {
+	for _, ln := range [...]*lane{&s.cold, &s.figure} {
 		d := ln.inflight - ln.running
 		queues[ln.class] = laneHealth{QueueDepth: d, Running: ln.running, Capacity: ln.max}
 		depth += d

@@ -6,23 +6,13 @@ import (
 	"pcstall/internal/telemetry"
 )
 
-// laneMetrics is one admission lane's metric triplet. The series share
-// base names and differ by a literal class label, so the Prometheus
-// exposition groups them into proper labelled families:
-// serve_queue_depth{class="cold"}, serve_shed_total{class="figure"}, ...
-type laneMetrics struct {
-	depth   *telemetry.Gauge
-	running *telemetry.Gauge
-	shed    *telemetry.Counter
-}
-
 // serveTelemetry is the serving layer's metric bundle: request counters
-// by endpoint and status, per-class admission-control accounting (queue
-// depth, running, sheds — one series per lane class), hot-tier body
-// cache accounting, singleflight fan-out hits, and the two latency
-// distributions that matter for capacity planning — time-in-queue and
-// handler latency. Simulation-side metrics (orchestrate_*, sim_*) live
-// in the same registry but are recorded by the layers below.
+// by endpoint and status, hot-tier body cache accounting, singleflight
+// fan-out hits, and the two latency distributions that matter for
+// capacity planning — time-in-queue and handler latency. The admission
+// lanes carry their own series (newLane). Simulation-side metrics
+// (orchestrate_*, sim_*) live in the same registry but are recorded by
+// the layers below.
 type serveTelemetry struct {
 	reg *telemetry.Registry
 
@@ -38,22 +28,19 @@ type serveTelemetry struct {
 	bodyEntries   *telemetry.Gauge
 	bodyBytes     *telemetry.Gauge
 
-	lanes map[string]*laneMetrics
-
 	draining *telemetry.Gauge
 
 	queueWait *telemetry.Histogram
 }
 
 // newServeTelemetry builds the bundle on r (nil r yields nil, making
-// every record a nil check). classes names the admission lanes the
-// server runs ("cold"/"figure", or "all" when figures share the sim
-// lane); each gets its own labelled queue-depth/running/shed series.
-func newServeTelemetry(r *telemetry.Registry, classes []string) *serveTelemetry {
+// every record a nil check). The admission lanes' series are registered
+// by newLane.
+func newServeTelemetry(r *telemetry.Registry) *serveTelemetry {
 	if r == nil {
 		return nil
 	}
-	t := &serveTelemetry{
+	return &serveTelemetry{
 		reg:           r,
 		singleflight:  r.Counter("serve_singleflight_hits_total", "requests answered by joining an identical in-flight or settled job"),
 		cacheHits:     r.Counter("serve_cache_short_circuit_total", "requests answered from the result cache without queueing"),
@@ -65,40 +52,23 @@ func newServeTelemetry(r *telemetry.Registry, classes []string) *serveTelemetry 
 		bodyEvictions: r.Counter("serve_body_cache_evictions_total", "rendered bodies evicted from the LRU to hold the byte budget"),
 		bodyEntries:   r.Gauge("serve_body_cache_entries", "rendered bodies currently held by the LRU"),
 		bodyBytes:     r.Gauge("serve_body_cache_bytes", "bytes of rendered bodies currently held by the LRU"),
-		lanes:         make(map[string]*laneMetrics, len(classes)),
 		draining:      r.Gauge("serve_draining", "1 while the server is draining (new work is rejected)"),
 		queueWait:     r.Phase("serve_time_in_queue"),
 	}
-	for _, class := range classes {
-		t.lanes[class] = &laneMetrics{
-			depth:   r.Gauge(fmt.Sprintf("serve_queue_depth{class=%q}", class), "admitted jobs waiting for a worker slot, by admission lane"),
-			running: r.Gauge(fmt.Sprintf("serve_jobs_running{class=%q}", class), "jobs holding a serving worker slot now, by admission lane"),
-			shed:    r.Counter(fmt.Sprintf("serve_shed_total{class=%q}", class), "requests rejected with 429 because the lane's admission queue was full"),
-		}
-	}
-	return t
 }
 
-// lane returns the metric triplet for one lane class (nil-safe).
-func (t *serveTelemetry) lane(class string) *laneMetrics {
-	if t == nil {
-		return nil
-	}
-	return t.lanes[class]
-}
-
-// shedInc counts one shed on the class lane.
-func (t *serveTelemetry) shedInc(class string) {
-	if lm := t.lane(class); lm != nil {
-		lm.shed.Inc()
-	}
-}
-
-// laneGauges publishes one lane's queue shape.
-func (t *serveTelemetry) laneGauges(class string, depth, running int) {
-	if lm := t.lane(class); lm != nil {
-		lm.depth.Set(float64(depth))
-		lm.running.Set(float64(running))
+// newLane builds one admission lane and registers its series on r (nil
+// r leaves them nil, so every write is a no-op). The series share base
+// names and differ by a literal class label, so the Prometheus
+// exposition groups them into proper labelled families:
+// serve_queue_depth{class="cold"}, serve_shed_total{class="figure"}, ...
+func newLane(r *telemetry.Registry, class string, max int) lane {
+	return lane{
+		class:        class,
+		max:          max,
+		depthGauge:   r.Gauge(fmt.Sprintf("serve_queue_depth{class=%q}", class), "admitted jobs waiting for a worker slot, by admission lane"),
+		runningGauge: r.Gauge(fmt.Sprintf("serve_jobs_running{class=%q}", class), "jobs holding a serving worker slot now, by admission lane"),
+		shed:         r.Counter(fmt.Sprintf("serve_shed_total{class=%q}", class), "requests rejected with 429 because the lane's admission queue was full"),
 	}
 }
 

@@ -76,13 +76,14 @@ else
 	exit 1
 fi
 
-echo "==> fuzz smoke (program builder, config validator, chaos and netchaos spec round-trips)"
+echo "==> fuzz smoke (program builder, config validator, chaos and netchaos spec round-trips, /v1/sim config merge)"
 # Short deterministic-budget fuzz passes; CI catches crashes and invariant
 # violations, the long exploratory runs stay manual.
 go test -run '^$' -fuzz '^FuzzProgramBuilder$' -fuzztime 15s ./internal/isa
 go test -run '^$' -fuzz '^FuzzConfigValidate$' -fuzztime 15s ./internal/sim
 go test -run '^$' -fuzz '^FuzzChaosSpec$' -fuzztime 10s ./internal/chaos
 go test -run '^$' -fuzz '^FuzzNetchaosSpec$' -fuzztime 10s ./internal/netchaos
+go test -run '^$' -fuzz '^FuzzSimRequest$' -fuzztime 10s ./internal/serve
 
 echo "==> kill-resume smoke (SIGINT mid-campaign, -resume, byte-identical output)"
 # A campaign killed mid-flight must drain gracefully (completed results
@@ -156,6 +157,10 @@ echo "==> server smoke (pcstall-serve: boot, submit over HTTP, poll, drain)"
 # completion, then drain cleanly on SIGTERM — exiting 0 with a flushed,
 # non-empty manifest that records the job the client submitted.
 go build -o "$smoke/pcstall-serve" ./cmd/pcstall-serve
+# Each announcement file is created before its server starts: the
+# background job opens its redirect only after the fork, and under set -e
+# a poll that reads the file first would end the script.
+: > "$smoke/serve.out"
 "$smoke/pcstall-serve" -addr 127.0.0.1:0 -cus 4 -scale 0.3 -j 2 \
 	-cache-dir "$smoke/serve-cache" > "$smoke/serve.out" 2> "$smoke/serve.err" &
 serve_pid=$!
@@ -207,14 +212,16 @@ if [ ! -s "$smoke/serve-cache/manifest.json" ] || ! grep -q "\"$job\"" "$smoke/s
 fi
 echo "    served job $job completed over HTTP; drain flushed the manifest"
 
-echo "==> load smoke (pcstall-load: open-loop mixes, zero sheds/errors, BENCH schema)"
+echo "==> load smoke (pcstall-load: open-loop mixes, zero sheds/errors)"
 # A short deterministic pcstall-load run per class family (cached-heavy,
 # cold-heavy, figure-lane) against a local server. At these offered
 # rates no lane saturates, so the lane contract is: zero sheds on every
 # class (-max-shed 0) and zero harness errors / digest mismatches
-# (pcstall-load exits 1 on either). The accumulated BENCH file must
-# round-trip the schema validator, as must the checked-in curves.
+# (pcstall-load exits 1 on either, and on a report that fails its
+# consistency check). Serving latency and goodput are measured by
+# perfbench's sim-cold and sim-hot workloads, not here.
 go build -o "$smoke/pcstall-load" ./cmd/pcstall-load
+: > "$smoke/loadsrv.out"
 "$smoke/pcstall-serve" -addr 127.0.0.1:0 -cus 4 -scale 0.3 -apps comd,hpgmg -j 2 \
 	-cache-dir "$smoke/load-cache" > "$smoke/loadsrv.out" 2> "$smoke/loadsrv.err" &
 loadsrv_pid=$!
@@ -233,19 +240,16 @@ for mixspec in "cachehot 30" "unique 10" "figlane 5"; do
 	mix=${mixspec% *}
 	rate=${mixspec#* }
 	if ! "$smoke/pcstall-load" -targets "$load_base" -mix "$mix" -rate "$rate" \
-		-duration 2s -seed 1 -apps comd,hpgmg -figures 10 -timeout 120s \
-		-label ci-smoke -max-shed 0 -out "$smoke/BENCH_load_smoke.json" \
+		-duration 2s -seed 1 -apps comd,hpgmg -figures 10 -timeout 120s -max-shed 0 \
 		> "$smoke/load.$mix.out" 2> "$smoke/load.$mix.err"; then
 		echo "load smoke: mix $mix failed (harness errors, corruption, or sheds)" >&2
 		cat "$smoke/load.$mix.out" "$smoke/load.$mix.err" >&2
 		exit 1
 	fi
 done
-"$smoke/pcstall-load" -validate "$smoke/BENCH_load_smoke.json" > /dev/null
-"$smoke/pcstall-load" -validate BENCH_serve.json > /dev/null
 kill -TERM "$loadsrv_pid" 2>/dev/null || true
 wait "$loadsrv_pid" 2>/dev/null || true
-echo "    three mixes clean (no sheds, no errors); BENCH schema validates"
+echo "    three mixes clean (no sheds, no errors)"
 
 echo "==> distributed smoke (two-backend fleet; byte-identical figures; survives a killed worker)"
 # A -backends campaign must produce byte-identical figure output and the
@@ -254,6 +258,7 @@ echo "==> distributed smoke (two-backend fleet; byte-identical figures; survives
 start_backend() {
 	bname=$1
 	shift
+	: > "$smoke/$bname.out"
 	"$smoke/pcstall-serve" -addr 127.0.0.1:0 -cus 4 -scale 0.3 -j 2 "$@" \
 		> "$smoke/$bname.out" 2> "$smoke/$bname.err" &
 	backend_pid=$!
@@ -358,6 +363,7 @@ echo "==> netchaos smoke (campaign through a fault-injecting proxy; byte-identic
 go build -o "$smoke/pcstall-netchaos" ./cmd/pcstall-netchaos
 start_backend w5; w5_pid=$backend_pid; w5_base=$backend_base
 start_backend w6; w6_pid=$backend_pid; w6_base=$backend_base
+: > "$smoke/ncproxy.out"
 "$smoke/pcstall-netchaos" -listen 127.0.0.1:0 -target "$w5_base" \
 	-faults level=0.35,seed=42 > "$smoke/ncproxy.out" 2> "$smoke/ncproxy.err" &
 ncproxy_pid=$!
