@@ -11,10 +11,29 @@
 // oracle in internal/oracle.
 package clock
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is simulated time in picoseconds.
 type Time = int64
+
+// Min returns the earlier of two times whose difference fits in a Time
+// (any two non-negative times). It selects with the difference's sign
+// instead of a branch: the simulator's event loop compares times whose
+// order changes unpredictably, where a mispredicted branch costs more
+// than the arithmetic.
+func Min(a, b Time) Time {
+	d := b - a
+	return a + d&(d>>63)
+}
+
+// Max returns the later of two times, under Min's condition.
+func Max(a, b Time) Time {
+	d := b - a
+	return b - d&(d>>63)
+}
 
 // Common durations in picoseconds.
 const (
@@ -114,8 +133,8 @@ func TransitionLatency(epoch Time) Time {
 }
 
 // Domain is one voltage/frequency island: a group of CUs (plus their L1s)
-// sharing a frequency. Domain is plain data; copying the struct snapshots
-// it exactly.
+// sharing a frequency. Build one with NewDomain. Domain is plain data;
+// copying the struct snapshots it exactly.
 type Domain struct {
 	ID   int32
 	Freq Freq
@@ -135,10 +154,44 @@ type Domain struct {
 	// memoQ/memoA/memoRem cache the last NextTickAfter query, its answer,
 	// and k*1e6 mod Freq at the answer, letting the hot sequential case —
 	// asking for the tick after the one just returned — advance the grid
-	// cursor with adds instead of divisions. All are lazily rebuilt, so a
-	// zero-value Domain (q == 0) still works.
+	// cursor with adds instead of divisions. byFreq and byPeriod divide
+	// by Freq and by q without a hardware divide. reclock rebuilds them
+	// all whenever the frequency regime changes.
 	q, r                  Time
 	memoQ, memoA, memoRem Time
+	byFreq, byPeriod      Divisor
+}
+
+// Divisor divides non-negative numerators by a fixed divisor with one
+// multiply instead of a hardware divide. With inv = ceil(2^64/d) =
+// (2^64+e)/d, 0 <= e < d, the high word of n*inv is n/d + (r +
+// n*e/2^64)/d for n = (n/d)*d + r, whose floor is n/d whenever n*e < 2^64
+// — guaranteed for n <= max = (2^64-1)/d. For the simulator's divisors
+// (clock frequencies and periods, at most a few thousand) max exceeds
+// 2^52, beyond any simulated numerator; larger numerators, and d == 1,
+// fall back to division.
+type Divisor struct {
+	d, inv, max uint64
+}
+
+// NewDivisor returns a Divisor for d >= 1.
+func NewDivisor(d Time) Divisor {
+	r := Divisor{d: uint64(d)}
+	if d >= 2 {
+		r.inv = ^uint64(0)/r.d + 1 // ceil(2^64/d)
+		r.max = ^uint64(0) / r.d
+	}
+	return r
+}
+
+// Div returns n/d and n%d for n >= 0.
+func (r Divisor) Div(n Time) (quo, rem Time) {
+	if uint64(n) <= r.max {
+		hi, _ := bits.Mul64(uint64(n), r.inv)
+		quo = Time(hi)
+		return quo, n - quo*Time(r.d)
+	}
+	return n / Time(r.d), n % Time(r.d)
 }
 
 // NewDomain returns a domain running at f from time 0.
@@ -154,6 +207,8 @@ func (d *Domain) reclock() {
 	d.q = 1_000_000 / Time(d.Freq)
 	d.r = 1_000_000 % Time(d.Freq)
 	d.memoQ, d.memoA = -1, -1
+	d.byFreq = NewDivisor(Time(d.Freq))
+	d.byPeriod = NewDivisor(d.q)
 }
 
 // TickAt returns the time of cycle k since the anchor.
@@ -162,11 +217,13 @@ func (d *Domain) TickAt(k int64) Time {
 }
 
 // PeriodPs returns the domain's (floor) clock period in picoseconds.
-func (d *Domain) PeriodPs() Time {
-	if d.q == 0 {
-		d.reclock()
-	}
-	return d.q
+func (d *Domain) PeriodPs() Time { return d.q }
+
+// PeriodsIn returns span / PeriodPs() for span >= 0: how many whole floor
+// periods fit in span.
+func (d *Domain) PeriodsIn(span Time) Time {
+	n, _ := d.byPeriod.Div(span)
+	return n
 }
 
 // NextTickAfter returns the earliest domain tick strictly after t (and not
@@ -178,35 +235,36 @@ func (d *Domain) NextTickAfter(t Time) Time {
 	if t < d.Anchor {
 		return d.Anchor
 	}
-	if d.q == 0 {
-		d.reclock()
-	}
 	if t == d.memoQ {
 		// Same query as last time (CUs sharing the domain tick together).
 		return d.memoA
 	}
-	if t == d.memoA {
-		// Asking for the tick after the one just returned — the sequential
-		// ticking case. floor((k+1)*1e6/F) = floor(k*1e6/F) + q + carry,
-		// with the carry tracked by the running remainder: no division.
-		a := d.memoA + d.q
-		rem := d.memoRem + d.r
-		if rem >= Time(d.Freq) {
-			rem -= Time(d.Freq)
-			a++
+	if t >= d.memoA && d.memoA >= 0 {
+		// Asking for a time in [memoA, next tick) — the sequential
+		// ticking case: a CU that just ticked at memoA asks for the tick
+		// after now or after now+period-1. floor((k+1)*1e6/F) =
+		// floor(k*1e6/F) + q + carry, with the carry tracked by the
+		// running remainder: no division. The carry depends on the cycle
+		// index, so it is computed, not branched on: ge is 1 iff
+		// rem >= Freq.
+		rem := d.memoRem + d.r - Time(d.Freq)
+		ge := rem>>63 + 1
+		if a := d.memoA + d.q + ge; t < a {
+			d.memoQ, d.memoA, d.memoRem = t, a, rem+Time(d.Freq)&^-ge
+			return a
 		}
-		d.memoQ, d.memoA, d.memoRem = t, a, rem
-		return a
 	}
 	// Smallest k with Anchor + k*1e6/F > t  =>  k = floor((t-Anchor)*F/1e6) + 1.
+	// TickAt(k) is Anchor + k*1e6/F; byFreq yields the quotient and the
+	// memo's remainder from one multiply.
 	k := (t-d.Anchor)*Time(d.Freq)/1_000_000 + 1
-	tick := d.TickAt(k)
-	for tick <= t { // guard against floor-division edge cases
+	quo, rem := d.byFreq.Div(k * 1_000_000)
+	for d.Anchor+quo <= t { // guard against floor-division edge cases
 		k++
-		tick = d.TickAt(k)
+		quo, rem = d.byFreq.Div(k * 1_000_000)
 	}
-	d.memoQ, d.memoA = t, tick
-	d.memoRem = (k * 1_000_000) % Time(d.Freq)
+	tick := d.Anchor + quo
+	d.memoQ, d.memoA, d.memoRem = t, tick, rem
 	return tick
 }
 

@@ -187,3 +187,90 @@ func TestFreqFormatting(t *testing.T) {
 		t.Fatalf("2GHz period = %d ps", Freq(2000).PeriodPs())
 	}
 }
+
+// TestDivisorMatchesDivision: the multiply-by-reciprocal divide must equal
+// hardware division for every divisor the simulator uses (grid
+// frequencies and their floor periods), for edge divisors, and for
+// numerators on both sides of the exactness bound.
+func TestDivisorMatchesDivision(t *testing.T) {
+	divisors := []Time{1, 2, 3, 7, 454, 625, 769, 1<<20 + 1, 1<<31 - 1}
+	for _, f := range DefaultGrid().States() {
+		divisors = append(divisors, Time(f), Freq(f).PeriodPs())
+	}
+	rng := uint64(0x9E3779B97F4A7C15)
+	for _, d := range divisors {
+		r := NewDivisor(d)
+		nums := []Time{0, 1, d - 1, d, d + 1, 2*d - 1, 1 << 52, 1<<62 + 12345}
+		if r.max < 1<<62 {
+			nums = append(nums, Time(r.max), Time(r.max)+1)
+		}
+		for i := 0; i < 2000; i++ {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			nums = append(nums, Time(rng>>(11+i%40)))
+		}
+		for _, n := range nums {
+			q, rem := r.Div(n)
+			if q != n/d || rem != n%d {
+				t.Fatalf("%d / %d: got %d rem %d, want %d rem %d", n, d, q, rem, n/d, n%d)
+			}
+		}
+	}
+}
+
+// TestNextTickAfterMatchesDefinition drives NextTickAfter with queries in
+// the orders the simulator issues them — repeats, the tick just returned,
+// a period minus one past it, about a period past it, arbitrary jumps — across frequency changes
+// and transition stalls, against the definition: the first tick
+// Anchor + k*1e6/F strictly after max(t, StallUntil), or the anchor.
+func TestNextTickAfterMatchesDefinition(t *testing.T) {
+	ref := func(d *Domain, t Time) Time {
+		if t < d.StallUntil {
+			t = d.StallUntil
+		}
+		if t < d.Anchor {
+			return d.Anchor
+		}
+		k := (t - d.Anchor) * Time(d.Freq) / 1_000_000
+		for d.TickAt(k) <= t {
+			k++
+		}
+		return d.TickAt(k)
+	}
+	err := quick.Check(func(seed uint32, steps []uint16) bool {
+		g := DefaultGrid()
+		d := NewDomain(0, g.State(int(seed)%g.Count()))
+		now := Time(0)
+		for i, s := range steps {
+			var q Time
+			switch s % 6 {
+			case 0:
+				q = now
+			case 1:
+				q = now + d.PeriodPs() - 1
+			case 5:
+				q = now + d.PeriodPs() + Time(s%3)
+			case 2:
+				q = now + Time(s)
+			case 3:
+				q = now + Time(s)*97
+			case 4:
+				if i%7 == 0 {
+					d.SetFreq(g.State(int(s)%g.Count()), now, TransitionLatency(Microsecond))
+				}
+				q = now
+			}
+			got, want := d.NextTickAfter(q), ref(&d, q)
+			if got != want {
+				t.Logf("freq %v anchor %d stall %d: NextTickAfter(%d) = %d, want %d", d.Freq, d.Anchor, d.StallUntil, q, got, want)
+				return false
+			}
+			now = got
+		}
+		return true
+	}, &quick.Config{MaxCount: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -79,10 +79,10 @@ func (k Kind) String() string {
 func (k Kind) IsMemory() bool { return k == VLoad || k == VStore }
 
 // IsCompute reports whether the kind executes entirely inside the CU's
-// clock domain (and therefore scales with core frequency).
-func (k Kind) IsCompute() bool {
-	return k == VALU || k == SALU || k == LDS
-}
+// clock domain (and therefore scales with core frequency). The compute
+// kinds are the first three constants, so this is one comparison (the
+// simulator asks it on every issue).
+func (k Kind) IsCompute() bool { return k <= LDS }
 
 // PatternKind enumerates how a memory instruction generates addresses.
 type PatternKind uint8

@@ -6,52 +6,55 @@
 // between components), so the whole hierarchy can be deep-copied by
 // Clone for the fork-pre-execute oracle. Tag arrays — the bulk of the
 // state — are copy-on-write: Clone shares them under a refcount and the
-// first mutation on either side privatizes them, so a fork that never
-// touches a cache never pays for copying it. Timing decisions (when a
+// first mutation on either side privatizes what it touches, so a fork
+// pays only for the cache state it writes. Timing decisions (when a
 // bank dequeues, when a response lands) are made in integer picoseconds
 // using the uncore frequency, and are fully deterministic.
 package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
 
-// entPools recycles privatized tag arrays, keyed by length. Fork-heavy
-// users (the oracle samples ten clones per epoch, each privatizing the
-// banks it touches) would otherwise churn megabytes of garbage per epoch;
-// Release feeds arrays whose refcount hits zero back to own.
-var entPools sync.Map // int → *sync.Pool of *[]uint64
+// tagArray is one cache's packed ways, shareable between clones. ref
+// counts the Caches holding it, as their array or as the shared base of a
+// partial copy (see Cache). owned is used while the array is a partial
+// copy's private overlay: bit s is set once set s has been copied in.
+type tagArray struct {
+	ent   []uint64
+	owned []uint64
+	ref   atomic.Int32
+}
 
-func entPoolFor(n int) *sync.Pool {
-	if p, ok := entPools.Load(n); ok {
+// arrPools recycles tag arrays by geometry. Fork-heavy users (the oracle
+// samples ten clones per epoch, each taking a private overlay for every
+// cache it writes) would otherwise churn megabytes of garbage per epoch;
+// Release feeds arrays whose refcount hits zero back to the pool.
+var arrPools sync.Map // [2]int{sets, ways} → *sync.Pool of *tagArray
+
+func arrPoolFor(sets, ways int) *sync.Pool {
+	key := [2]int{sets, ways}
+	if p, ok := arrPools.Load(key); ok {
 		return p.(*sync.Pool)
 	}
-	p, _ := entPools.LoadOrStore(n, &sync.Pool{})
+	p, _ := arrPools.LoadOrStore(key, &sync.Pool{})
 	return p.(*sync.Pool)
-}
-
-// getEnt returns an arbitrary-content array of length n; callers must
-// fully overwrite it.
-func getEnt(n int) []uint64 {
-	if v := entPoolFor(n).Get(); v != nil {
-		return *v.(*[]uint64)
-	}
-	return make([]uint64, n)
-}
-
-func putEnt(ent []uint64) {
-	entPoolFor(len(ent)).Put(&ent)
 }
 
 // Cache is a set-associative cache with true-LRU replacement. It models
 // tags only — the simulator never materializes data — and is a value type
 // whose Clone snapshots the full tag state. The snapshot is copy-on-write:
-// the tag array is shared under a refcount until either side mutates it,
-// at which point the mutator privatizes its own copy. Sharing is safe
-// even when clones run on other goroutines (the refcount is atomic and a
-// shared array is never written in place), which is what lets multiple
+// Clone shares the tag array under a refcount, and the first write on
+// either side makes the writer private. A small array (wholeCopyMax) is
+// copied whole; a larger one turns the writer into a partial copy — a
+// private overlay array plus the shared array as its base — that copies
+// each set into the overlay on its first access. A fork that touches a
+// few hundred of an L2 bank's sets copies only those. Sharing is
+// safe even when clones run on other goroutines (the refcount is atomic
+// and a shared array is never written), which is what lets multiple
 // oracle samplers fork the same quiescent parent GPU concurrently.
 //
 // Each way is one packed word — tag in the low half, LRU stamp in the
@@ -62,21 +65,24 @@ func putEnt(ent []uint64) {
 type Cache struct {
 	sets      uint32
 	ways      uint32
-	lineShift uint32
+	lineShift uint32 // log2 of the line size; hot paths mask it with 63 so shifts compile plain
 	// setMask is sets-1 when the set count is a power of two (the common
 	// case), letting setOf mask instead of divide; 0 otherwise.
 	setMask uint32
 	tick    uint64
-	// ent holds sets*ways packed ways: bits [31:0] are the tag (0 =
+	// ent is arr.ent: sets*ways packed ways, bits [31:0] the tag (0 =
 	// invalid, otherwise lineAddr+1), bits [63:32] the LRU stamp.
 	ent []uint64
-	// ref counts the Cache values sharing ent. Mutators call own, which
-	// privatizes the array while ref > 1. A conservative overshoot (two
-	// sharers privatizing simultaneously) costs one extra copy, never
-	// correctness.
-	ref *atomic.Int32
-	// pool is the recycler for arrays of len(ent), resolved once at
-	// construction so the privatize/release hot path never touches the
+	// arr is the array this cache writes. While base is nil the cache is
+	// whole: arr holds every set, shared with clones while arr.ref > 1
+	// and written in place only when this cache is its sole holder.
+	arr *tagArray
+	// base is non-nil while the cache is a partial copy: arr is then a
+	// private overlay (ref 1) holding the sets marked in arr.owned, and
+	// every other set is still read from base, which stays unwritten.
+	base *tagArray
+	// pool is the recycler for arrays of this geometry, resolved once at
+	// construction so the copy-on-write hot path never touches the
 	// global sync.Map.
 	pool *sync.Pool
 	// hits and misses are cumulative probe outcomes.
@@ -109,14 +115,14 @@ func NewCache(sets, ways, lineBytes int) (Cache, error) {
 		sets:      uint32(sets),
 		ways:      uint32(ways),
 		lineShift: shift,
-		ent:       make([]uint64, sets*ways),
-		ref:       new(atomic.Int32),
-		pool:      entPoolFor(sets * ways),
+		pool:      arrPoolFor(sets, ways),
 	}
+	c.arr = c.newArr()
+	c.ent = c.arr.ent
+	clear(c.ent)
 	if sets&(sets-1) == 0 {
 		c.setMask = uint32(sets - 1)
 	}
-	c.ref.Store(1)
 	return c, nil
 }
 
@@ -151,18 +157,26 @@ func (c *Cache) Misses() int64 { return c.misses }
 
 func (c *Cache) setOf(addr uint64) uint32 {
 	if c.setMask != 0 {
-		return uint32(addr>>c.lineShift) & c.setMask
+		return uint32(addr>>(c.lineShift&63)) & c.setMask
 	}
-	return uint32((addr >> c.lineShift) % uint64(c.sets))
+	return uint32((addr >> (c.lineShift & 63)) % uint64(c.sets))
 }
 
 // tagOf returns addr's packed tag (lineAddr+1, never 0).
 func (c *Cache) tagOf(addr uint64) uint64 {
-	line := addr>>c.lineShift + 1
+	line := addr>>(c.lineShift&63) + 1
 	if line > 0xffffffff {
-		panic(fmt.Sprintf("mem: address %#x beyond the %d GiB model limit", addr, uint64(1)<<(c.lineShift+2)))
+		c.addrPanic(addr)
 	}
 	return line
+}
+
+// addrPanic reports an address beyond the 32-bit tag range; it is kept
+// out of tagOf so that stays small enough to inline.
+//
+//go:noinline
+func (c *Cache) addrPanic(addr uint64) {
+	panic(fmt.Sprintf("mem: address %#x beyond the %d GiB model limit", addr, uint64(1)<<(c.lineShift+2)))
 }
 
 // bump advances the LRU clock, renormalizing stamps in the (practically
@@ -172,40 +186,110 @@ func (c *Cache) tagOf(addr uint64) uint64 {
 func (c *Cache) bump() uint64 {
 	c.tick++
 	if c.tick > 0xffffffff {
-		c.own()
-		for i, e := range c.ent {
-			c.ent[i] = e>>33<<32 | e&0xffffffff
-		}
-		c.tick >>= 1
+		c.renormalize()
 	}
 	return c.tick
 }
 
-// own privatizes the tag array before a write. While the array is shared
-// (ref > 1) it copies it and detaches from the shared refcount; once this
-// Cache is the sole owner it is a two-instruction no-op on the hot path.
-// Two sharers racing into own both copy — wasteful but correct, since the
-// shared array itself is never written.
-func (c *Cache) own() {
-	if c.ref.Load() == 1 {
+// renormalize halves the LRU clock and every stamp.
+func (c *Cache) renormalize() {
+	c.private()
+	for i, e := range c.ent {
+		c.ent[i] = e>>33<<32 | e&0xffffffff
+	}
+	c.tick >>= 1
+}
+
+// newArr returns a tag array of this geometry with refcount 1 and
+// arbitrary contents: callers must overwrite every set they later read.
+func (c *Cache) newArr() *tagArray {
+	a, _ := c.pool.Get().(*tagArray)
+	if a == nil {
+		a = &tagArray{
+			ent:   make([]uint64, int(c.sets)*int(c.ways)),
+			owned: make([]uint64, (c.sets+63)/64),
+		}
+	}
+	a.ref.Store(1)
+	return a
+}
+
+// drop releases one hold on a, recycling it once nobody holds it.
+func (c *Cache) drop(a *tagArray) {
+	if a.ref.Add(-1) == 0 {
+		c.pool.Put(a)
+	}
+}
+
+// owns reports whether set s lives in c.ent: always for a whole cache,
+// once copied in for a partial copy.
+func (c *Cache) owns(s uint32) bool {
+	return c.base == nil || c.arr.owned[s>>6]&(1<<(s&63)) != 0
+}
+
+// wholeCopyMax is the array length (in ways) up to which a shared cache
+// privatizes its whole array on first write instead of becoming a partial
+// copy: copying a small array (an L1's 2 KiB) once costs less than
+// checking and copying set by set on every access that follows.
+const wholeCopyMax = 512
+
+// writable makes set s safe to write in c.ent. For the sole holder of a
+// whole array it is two loads and a compare on the hot path. A small
+// whole array still shared with a clone is copied outright; a larger one
+// turns this cache into a partial copy over it, which copies each set in
+// from its base on first use.
+func (c *Cache) writable(s uint32) {
+	if c.base == nil && c.arr.ref.Load() == 1 {
 		return
 	}
-	old := c.ent
-	var ent []uint64
-	if v := c.pool.Get(); v != nil {
-		ent = *v.(*[]uint64)
-	} else {
-		ent = make([]uint64, len(old))
+	c.copySet(s)
+}
+
+// copySet is writable's copy-on-write path.
+func (c *Cache) copySet(s uint32) {
+	if c.base == nil {
+		if len(c.ent) <= wholeCopyMax {
+			c.private()
+			return
+		}
+		c.base = c.arr
+		c.arr = c.newArr()
+		clear(c.arr.owned)
+		c.ent = c.arr.ent
 	}
-	copy(ent, old)
-	c.ent = ent
-	if c.ref.Add(-1) == 0 {
-		// Every other sharer released while we copied; the old array is
-		// now unreferenced and can be recycled.
-		c.pool.Put(&old)
+	if w := &c.arr.owned[s>>6]; *w&(1<<(s&63)) == 0 {
+		b := s * c.ways
+		copy(c.ent[b:b+c.ways], c.base.ent[b:b+c.ways])
+		*w |= 1 << (s & 63)
 	}
-	c.ref = new(atomic.Int32)
-	c.ref.Store(1)
+}
+
+// flatten writes the cache's full logical tag state into dst.
+func (c *Cache) flatten(dst []uint64) {
+	if c.base == nil {
+		copy(dst, c.ent)
+		return
+	}
+	for s := uint32(0); s < c.sets; s++ {
+		src := c.base.ent
+		if c.owns(s) {
+			src = c.ent
+		}
+		b := s * c.ways
+		copy(dst[b:b+c.ways], src[b:b+c.ways])
+	}
+}
+
+// private makes this cache the whole, sole holder of its tag state,
+// copying it out of shared or partial storage if need be.
+func (c *Cache) private() {
+	if c.base == nil && c.arr.ref.Load() == 1 {
+		return
+	}
+	a := c.newArr()
+	c.flatten(a.ent)
+	c.Release()
+	c.arr, c.ent = a, a.ent
 }
 
 // Probe looks up addr, updating LRU state and hit/miss counters. It
@@ -213,14 +297,14 @@ func (c *Cache) own() {
 func (c *Cache) Probe(addr uint64) bool {
 	tick := c.bump()
 	tag := c.tagOf(addr)
-	base := c.setOf(addr) * c.ways
-	// One bounded subslice lets the compiler drop per-way bounds checks;
-	// the write goes through c.ent because own may swap the array.
+	s := c.setOf(addr)
+	c.writable(s)
+	base := s * c.ways
+	// One bounded subslice lets the compiler drop per-way bounds checks.
 	set := c.ent[base : base+c.ways]
 	for w := range set {
-		if set[w]&0xffffffff == tag {
-			c.own()
-			c.ent[base+uint32(w)] = tick<<32 | tag
+		if uint32(set[w]) == uint32(tag) {
+			set[w] = tick<<32 | tag
 			c.hits++
 			return true
 		}
@@ -233,9 +317,14 @@ func (c *Cache) Probe(addr uint64) bool {
 // counters (used by tests and invariant checks).
 func (c *Cache) Contains(addr uint64) bool {
 	tag := c.tagOf(addr)
-	base := c.setOf(addr) * c.ways
+	s := c.setOf(addr)
+	ent := c.ent
+	if !c.owns(s) {
+		ent = c.base.ent
+	}
+	base := s * c.ways
 	for w := uint32(0); w < c.ways; w++ {
-		if c.ent[base+w]&0xffffffff == tag {
+		if uint32(ent[base+w]) == uint32(tag) {
 			return true
 		}
 	}
@@ -246,140 +335,103 @@ func (c *Cache) Contains(addr uint64) bool {
 // It returns the evicted line address and whether an eviction happened.
 // Filling an already-resident line refreshes its LRU stamp.
 func (c *Cache) Fill(addr uint64) (evicted uint64, wasEvicted bool) {
-	c.own()
 	tick := c.bump()
 	tag := c.tagOf(addr)
-	base := c.setOf(addr) * c.ways
-	if c.ways < 256 {
-		// Branchless victim selection: each way folds to stamp<<8|way
-		// (invalid ways fold to 0<<8|way, undercutting every valid
-		// stamp — bump starts stamps at 1), and the running minimum is
-		// a single conditional move instead of data-dependent branches
-		// the stamp distribution makes unpredictable. Ties and the
-		// invalid-way preference resolve to the lowest way index,
-		// exactly as the sequential scan did.
-		set := c.ent[base : base+c.ways] // own already ran; stable array
-		// Two running minima over alternating ways break the serial
-		// compare chain in half; they merge after the loop. Ties and the
-		// invalid-way preference still resolve to the lowest way index,
-		// because the way number is packed into the low bits of the key.
-		best0, best1 := ^uint64(0), ^uint64(0)
-		w := 0
-		for ; w+1 < len(set); w += 2 {
-			e0, e1 := set[w], set[w+1]
-			if e0&0xffffffff == tag {
-				set[w] = tick<<32 | tag
-				return 0, false
-			}
-			if e1&0xffffffff == tag {
-				set[w+1] = tick<<32 | tag
-				return 0, false
-			}
-			nz0 := (e0&0xffffffff + 0xffffffff) >> 32 // 1 if valid, else 0
-			nz1 := (e1&0xffffffff + 0xffffffff) >> 32
-			if pk := (e0>>32)*nz0<<8 | uint64(w); pk < best0 {
-				best0 = pk
-			}
-			if pk := (e1>>32)*nz1<<8 | uint64(w+1); pk < best1 {
-				best1 = pk
-			}
-		}
-		if w < len(set) { // odd way count
-			e := set[w]
-			if e&0xffffffff == tag {
-				set[w] = tick<<32 | tag
-				return 0, false
-			}
-			nz := (e&0xffffffff + 0xffffffff) >> 32
-			if pk := (e>>32)*nz<<8 | uint64(w); pk < best0 {
-				best0 = pk
-			}
-		}
-		if best1 < best0 {
-			best0 = best1
-		}
-		victim := best0 & 0xff
-		if old := set[victim] & 0xffffffff; old != 0 {
-			evicted = (old - 1) << c.lineShift
-			wasEvicted = true
-		}
-		set[victim] = tick<<32 | tag
-		return evicted, wasEvicted
-	}
-	victim := base
-	oldest := ^uint64(0)
-	for w := uint32(0); w < c.ways; w++ {
-		i := base + w
-		e := c.ent[i]
-		if e&0xffffffff == tag {
-			c.ent[i] = tick<<32 | tag
+	s := c.setOf(addr)
+	c.writable(s)
+	base := s * c.ways
+	set := c.ent[base : base+c.ways]
+	// One pass looks for the line and, in case it is absent, for the
+	// victim: the lowest-index invalid way, else the least recently used
+	// one. Keying each way by its stamp (high half) and index (low half)
+	// makes that the minimum key: an invalid way is the all-zero word, so
+	// its key is its bare index, below every stamped way, and equal
+	// stamps (possible only after bump renormalizes) fall to the lower
+	// index. The stamp order is random, so a compare-and-branch minimum
+	// mispredicts on most sets; minNoBranch does not branch. Two
+	// interleaved minima halve the dependency chain.
+	best0, best1 := ^uint64(0), ^uint64(0)
+	w := 0
+	for ; w+1 < len(set); w += 2 {
+		e0, e1 := set[w], set[w+1]
+		if uint32(e0) == uint32(tag) {
+			set[w] = tick<<32 | tag
 			return 0, false
 		}
-		if e&0xffffffff == 0 {
-			// Prefer an invalid way; stamp 0 guarantees selection
-			// over any valid entry.
-			if oldest != 0 {
-				victim, oldest = i, 0
-			}
-			continue
+		if uint32(e1) == uint32(tag) {
+			set[w+1] = tick<<32 | tag
+			return 0, false
 		}
-		if e>>32 < oldest {
-			victim, oldest = i, e>>32
-		}
+		best0 = minNoBranch(best0, e0&^0xffffffff|uint64(w))
+		best1 = minNoBranch(best1, e1&^0xffffffff|uint64(w+1))
 	}
-	if old := c.ent[victim] & 0xffffffff; old != 0 {
-		evicted = (old - 1) << c.lineShift
+	if w < len(set) {
+		e := set[w]
+		if uint32(e) == uint32(tag) {
+			set[w] = tick<<32 | tag
+			return 0, false
+		}
+		best0 = minNoBranch(best0, e&^0xffffffff|uint64(w))
+	}
+	victim := minNoBranch(best0, best1) & 0xffffffff
+	if old := set[victim] & 0xffffffff; old != 0 {
+		evicted = (old - 1) << (c.lineShift & 63)
 		wasEvicted = true
 	}
-	c.ent[victim] = tick<<32 | tag
+	set[victim] = tick<<32 | tag
 	return evicted, wasEvicted
+}
+
+// minNoBranch returns min(a, b) through the subtraction's borrow instead
+// of a data-dependent branch.
+func minNoBranch(a, b uint64) uint64 {
+	d, borrow := bits.Sub64(b, a, 0) // borrow == 1 iff b < a
+	return a + d&-borrow
 }
 
 // Flush invalidates every line and resets counters.
 func (c *Cache) Flush() {
-	if c.ref.Load() > 1 {
-		// The shared array must not be zeroed in place; detach instead.
-		if c.ref.Add(-1) == 0 {
-			ent := c.ent
-			c.pool.Put(&ent)
-		}
-		c.ref = new(atomic.Int32)
-		c.ref.Store(1)
-		c.ent = make([]uint64, len(c.ent))
-	} else {
-		for i := range c.ent {
-			c.ent[i] = 0
-		}
+	if c.base != nil || c.arr.ref.Load() > 1 {
+		// Shared storage must not be zeroed in place; detach instead.
+		c.Release()
+		c.arr = c.newArr()
+		c.ent = c.arr.ent
 	}
+	clear(c.ent)
 	c.tick = 0
 	c.hits = 0
 	c.misses = 0
 }
 
-// Clone returns a logically independent copy. Tag state is shared
-// copy-on-write: the array is not copied until one side mutates, so
-// cloning is O(1) regardless of capacity. The clone and the parent may
-// subsequently run on different goroutines.
+// Clone returns a logically independent copy. A whole cache's tag array
+// is shared copy-on-write, so cloning it is O(1) regardless of capacity;
+// a partial copy (itself written while shared) spans two arrays, and its
+// clone gets a whole copy of its own. Clone never writes c's storage, so
+// clones of one quiescent cache may be taken concurrently, and the clone
+// and the parent may subsequently run on different goroutines.
 func (c *Cache) Clone() Cache {
-	c.ref.Add(1)
-	return *c
+	d := *c
+	if c.base == nil {
+		c.arr.ref.Add(1)
+		return d
+	}
+	d.base = nil
+	d.arr = c.newArr()
+	d.ent = d.arr.ent
+	c.flatten(d.ent)
+	return d
 }
 
-// Release drops this Cache's share of the tag array. Calling it when
-// discarding a clone lets the surviving sharer mutate in place again
-// instead of paying a copy-on-first-write; forgetting it is safe, merely
+// Release drops this Cache's hold on its tag arrays. Calling it when
+// discarding a clone lets the surviving sharer write in place again
+// instead of taking a private overlay; forgetting it is safe, merely
 // slower. The Cache must not be used after Release.
 func (c *Cache) Release() {
-	if c.ref != nil {
-		if c.ref.Add(-1) == 0 {
-			ent := c.ent
-			c.pool.Put(&ent)
+	if c.arr != nil {
+		c.drop(c.arr)
+		if c.base != nil {
+			c.drop(c.base)
 		}
-		c.ref = nil
-		c.ent = nil
+		c.arr, c.base, c.ent = nil, nil, nil
 	}
 }
-
-// Shared reports whether the tag array is currently shared with another
-// Cache (used by tests).
-func (c *Cache) Shared() bool { return c.ref.Load() > 1 }

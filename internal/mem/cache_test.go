@@ -193,3 +193,65 @@ func TestCacheCloneIndependence(t *testing.T) {
 		t.Fatal("clone lost original contents")
 	}
 }
+
+func (r *refLRU) clone() *refLRU {
+	c := newRefLRU(r.sets, r.ways)
+	for s, l := range r.lines {
+		c.lines[s] = append([]uint64(nil), l...)
+	}
+	return c
+}
+
+func (r *refLRU) contains(line uint64) bool {
+	for _, l := range r.lines[r.setOf(line)] {
+		if l == line {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCacheCopyOnWriteMatchesReference drives a family of clones through
+// random probes, fills, flushes, clones (of whole caches and of partial
+// copies) and releases, and requires each to behave exactly like its own
+// independent reference model. Both geometries are covered: one small
+// enough to be privatized whole on first write, one large enough to
+// become a set-granular partial copy.
+func TestCacheCopyOnWriteMatchesReference(t *testing.T) {
+	for _, geo := range [][2]int{{16, 4}, {128, 8}} {
+		sets, ways := geo[0], geo[1]
+		rng := xrand.New(uint64(sets))
+		first := mustCache(sets, ways, 64)
+		caches := []*Cache{&first}
+		refs := []*refLRU{newRefLRU(sets, ways)}
+		for op := 0; op < 20000; op++ {
+			i := rng.Intn(len(caches))
+			c, ref := caches[i], refs[i]
+			line := uint64(rng.Intn(sets * ways * 3))
+			switch k := rng.Intn(100); {
+			case k < 40:
+				if got, want := c.Probe(line*64), ref.probe(line); got != want {
+					t.Fatalf("%dx%d op %d: cache %d probe %d = %v, want %v", sets, ways, op, i, line, got, want)
+				}
+			case k < 80:
+				c.Fill(line * 64)
+				ref.fill(line)
+			case k < 90:
+				if got, want := c.Contains(line*64), ref.contains(line); got != want {
+					t.Fatalf("%dx%d op %d: cache %d contains %d = %v, want %v", sets, ways, op, i, line, got, want)
+				}
+			case k < 95 && len(caches) < 6:
+				cp := c.Clone()
+				caches = append(caches, &cp)
+				refs = append(refs, ref.clone())
+			case k < 98 && len(caches) > 1:
+				c.Release()
+				caches = append(caches[:i], caches[i+1:]...)
+				refs = append(refs[:i], refs[i+1:]...)
+			case k < 99:
+				c.Flush()
+				refs[i] = newRefLRU(sets, ways)
+			}
+		}
+	}
+}

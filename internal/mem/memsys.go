@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"pcstall/internal/clock"
@@ -10,14 +11,16 @@ import (
 // Request is one cache-line transaction traveling through the hierarchy.
 // CU and WF identify the issuing wavefront so the simulator can decrement
 // its outstanding counters when the response lands; the remaining fields
-// feed the estimation models' counters.
+// feed the estimation models' counters. The fields are ordered widest
+// first so the struct packs into 32 bytes: queues and completion rings
+// copy it on every hop.
 type Request struct {
-	Addr  uint64
+	Addr uint64
+	// Issue is the time the CU issued the request (after L1 miss).
+	Issue clock.Time
 	CU    int32
 	WF    int32
 	Store bool
-	// Issue is the time the CU issued the request (after L1 miss).
-	Issue clock.Time
 	// Leading marks a load issued while its CU had no other loads in
 	// flight (the Leading Load model's signal).
 	Leading bool
@@ -70,6 +73,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mem: line size %d not a power of two", c.LineBytes)
 	case c.L1Sets < 1 || c.L1Ways < 1 || c.L2Banks < 1 || c.L2Sets < 1 || c.L2Ways < 1:
 		return fmt.Errorf("mem: non-positive cache geometry: %+v", c)
+	case c.L2Banks > 64:
+		// Bank occupancy is kept as a 64-bit mask.
+		return fmt.Errorf("mem: %d L2 banks, at most 64", c.L2Banks)
 	case c.L1Latency < 1 || c.L2Latency < 1 || c.DRAMLat < 1:
 		return fmt.Errorf("mem: non-positive latency: %+v", c)
 	case c.L1MSHRs < 1:
@@ -91,7 +97,20 @@ type queue struct {
 	head int
 }
 
-func (q *queue) push(r Request) { q.buf = append(q.buf, r) }
+// push appends *r. Requests travel by pointer and are copied field by
+// field (copyTo), not as one block: a request passed by value arrives in
+// registers and is spilled one field at a time, and a block copy of a
+// struct just written piecewise stalls on store forwarding.
+func (q *queue) push(r *Request) {
+	q.buf = append(q.buf, Request{})
+	r.copyTo(&q.buf[len(q.buf)-1])
+}
+
+// copyTo copies r into *dst field by field (see queue.push).
+func (r *Request) copyTo(dst *Request) {
+	dst.Addr, dst.Issue, dst.CU, dst.WF = r.Addr, r.Issue, r.CU, r.WF
+	dst.Store, dst.Leading, dst.L1Hit = r.Store, r.Leading, r.L1Hit
+}
 
 func (q *queue) len() int { return len(q.buf) - q.head }
 
@@ -137,26 +156,29 @@ type ring struct {
 	head int
 }
 
-func (q *ring) push(c completion) {
-	if n := len(q.buf); n > q.head && c.At < q.buf[n-1].At {
+func (q *ring) push(at clock.Time, seq int64, r *Request) {
+	if n := len(q.buf); n > q.head && at < q.buf[n-1].At {
 		panic("mem: completion ring pushed out of order")
 	}
-	q.buf = append(q.buf, c)
+	q.buf = append(q.buf, completion{})
+	c := &q.buf[len(q.buf)-1]
+	c.At, c.Seq = at, seq
+	r.copyTo(&c.Req)
 }
 
 func (q *ring) len() int { return len(q.buf) - q.head }
 
 func (q *ring) peek() *completion { return &q.buf[q.head] }
 
-func (q *ring) pop() completion {
-	c := q.buf[q.head]
+// popTo moves the head completion's request into *dst.
+func (q *ring) popTo(dst *Request) {
+	*dst = q.buf[q.head].Req
 	q.head++
 	if q.head > 64 && q.head*2 >= len(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
-	return c
 }
 
 // cloneInto copies q's live completions into dst, reusing dst's buffer
@@ -170,9 +192,14 @@ func (q *ring) cloneInto(dst *ring) {
 // complHeap is a binary min-heap ordered by (At, Seq).
 type complHeap []completion
 
-func (h *complHeap) push(c completion) {
-	*h = append(*h, c)
+// push inserts a completion of *r landing at at with sequence number seq,
+// built in place (see queue.push).
+func (h *complHeap) push(at clock.Time, seq int64, r *Request) {
+	*h = append(*h, completion{})
 	i := len(*h) - 1
+	c := &(*h)[i]
+	c.At, c.Seq = at, seq
+	r.copyTo(&c.Req)
 	for i > 0 {
 		p := (i - 1) / 2
 		if !(*h)[i].less((*h)[p]) {
@@ -190,8 +217,9 @@ func (c completion) less(o completion) bool {
 	return c.Seq < o.Seq
 }
 
-func (h *complHeap) pop() completion {
-	top := (*h)[0]
+// popTo moves the earliest completion's request into *dst.
+func (h *complHeap) popTo(dst *Request) {
+	*dst = (*h)[0].Req
 	n := len(*h) - 1
 	(*h)[0] = (*h)[n]
 	*h = (*h)[:n]
@@ -211,7 +239,6 @@ func (h *complHeap) pop() completion {
 		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
 		i = small
 	}
-	return top
 }
 
 // Stats are cumulative traffic counters for the shared hierarchy.
@@ -239,16 +266,16 @@ type MemSys struct {
 	dramDone ring
 	local    complHeap
 	seq      int64
-	cycle    int64 // uncore cycles consumed (cycle k happens at k*period)
 	period   clock.Time
-	bankOcc  int // total requests sitting in bank queues
+	byPeriod clock.Divisor // divides by period (NextTickAfter)
+	bankOcc  int           // total requests sitting in bank queues
 	// bankBits has bit b set while bank b's queue is non-empty, letting
-	// Tick visit only occupied banks. Maintained only when the bank count
-	// fits in a word (≤ 64); with more banks it stays 0 and Tick scans.
+	// Tick visit only occupied banks (Config.Validate caps the banks at
+	// 64).
 	bankBits uint64
-	// lineShift and bankMask implement BankOf with shift/mask when line
-	// size and bank count are powers of two (bankMask is 0 otherwise and
-	// BankOf falls back to division).
+	// lineShift and bankMask implement BankOf: the line size is a power
+	// of two, and bankMask is the bank count minus one when that is a
+	// power of two above 1 (0 otherwise, and BankOf takes a remainder).
 	lineShift uint32
 	bankMask  uint64
 	stats     Stats
@@ -265,6 +292,7 @@ func NewMemSys(cfg Config) *MemSys {
 		l2:     make([]Cache, cfg.L2Banks),
 		period: cfg.UncoreFreq.PeriodPs(),
 	}
+	m.byPeriod = clock.NewDivisor(m.period)
 	for 1<<m.lineShift != cfg.LineBytes {
 		m.lineShift++ // LineBytes is a validated power of two
 	}
@@ -282,50 +310,44 @@ func (m *MemSys) Stats() Stats { return m.stats }
 
 // BankOf returns the L2 bank servicing addr.
 func (m *MemSys) BankOf(addr uint64) int {
+	line := addr >> (m.lineShift & 63)
 	if m.bankMask != 0 {
-		return int((addr >> m.lineShift) & m.bankMask)
+		return int(line & m.bankMask)
 	}
-	return int((addr / uint64(m.Cfg.LineBytes)) % uint64(m.Cfg.L2Banks))
+	return int(line % uint64(len(m.banks)))
 }
 
 // Submit enqueues an L1 miss into its L2 bank queue.
 func (m *MemSys) Submit(r Request) {
 	m.stats.Submitted++
 	b := m.BankOf(r.Addr)
-	m.banks[b].push(r)
+	m.banks[b].push(&r)
 	m.bankOcc++
-	if len(m.banks) <= 64 {
-		m.bankBits |= 1 << uint(b)
-	}
+	m.bankBits |= 1 << (uint(b) & 63)
 }
 
-// NextTickAfter returns the first uncore cycle boundary strictly after t,
-// advancing the internal cycle cursor model. The uncore grid is anchored
-// at time zero.
+// NextTickAfter returns the first uncore cycle boundary strictly after t.
+// The uncore grid is anchored at time zero.
 func (m *MemSys) NextTickAfter(t clock.Time) clock.Time {
-	k := t/m.period + 1
-	return k * m.period
+	k, _ := m.byPeriod.Div(t)
+	return (k + 1) * m.period
 }
 
 // NextDone returns the land time of the earliest scheduled completion, or
 // false if none are in flight.
 func (m *MemSys) NextDone() (clock.Time, bool) {
-	at := clock.Time(0)
-	ok := false
+	const none = clock.Time(math.MaxInt64)
+	at := none
 	if m.l2Done.len() > 0 {
-		at, ok = m.l2Done.peek().At, true
+		at = m.l2Done.peek().At
 	}
 	if m.dramDone.len() > 0 {
-		if t := m.dramDone.peek().At; !ok || t < at {
-			at, ok = t, true
-		}
+		at = clock.Min(at, m.dramDone.peek().At)
 	}
 	if len(m.local) > 0 {
-		if t := m.local[0].At; !ok || t < at {
-			at, ok = t, true
-		}
+		at = clock.Min(at, m.local[0].At)
 	}
-	return at, ok
+	return at, at != none
 }
 
 // Tick advances the shared hierarchy by one uncore cycle at time now:
@@ -333,20 +355,9 @@ func (m *MemSys) NextDone() (clock.Time, bool) {
 // miss → DRAM queue and L2 fill on the miss path), and DRAM dequeues up
 // to DRAMWidth requests (response after DRAMLat).
 func (m *MemSys) Tick(now clock.Time) {
-	if m.bankOcc > 0 && len(m.banks) <= 64 {
-		// Visit only occupied banks; bit order is ascending bank index,
-		// matching the plain scan exactly.
-		for bb := m.bankBits; bb != 0; bb &= bb - 1 {
-			b := bits.TrailingZeros64(bb)
-			m.tickBank(b, now)
-		}
-	} else if m.bankOcc > 0 {
-		for b := range m.banks {
-			if m.banks[b].len() == 0 {
-				continue
-			}
-			m.tickBank(b, now)
-		}
+	// Visit only occupied banks, in ascending bank index.
+	for bb := m.bankBits; bb != 0; bb &= bb - 1 {
+		m.tickBank(bits.TrailingZeros64(bb), now)
 	}
 	m.tickDRAM(now)
 }
@@ -392,16 +403,16 @@ func (m *MemSys) tickBank(b int, now clock.Time) {
 	r := m.banks[b].pop()
 	m.bankOcc--
 	if m.banks[b].len() == 0 {
-		m.bankBits &^= 1 << uint(b)
+		m.bankBits &^= 1 << (uint(b) & 63)
 	}
 	if m.l2[b].Probe(r.Addr) {
 		m.stats.L2Hits++
 		m.seq++
-		m.l2Done.push(completion{At: now + clock.Time(m.Cfg.L2Latency)*m.period, Seq: m.seq, Req: r})
+		m.l2Done.push(now+clock.Time(m.Cfg.L2Latency)*m.period, m.seq, &r)
 		return
 	}
 	m.stats.L2Misses++
-	m.dramQ.push(r)
+	m.dramQ.push(&r)
 }
 
 // tickDRAM dequeues up to DRAMWidth requests from the DRAM queue, filling
@@ -412,19 +423,19 @@ func (m *MemSys) tickDRAM(now clock.Time) {
 		m.stats.DRAMReqs++
 		m.l2[m.BankOf(r.Addr)].Fill(r.Addr)
 		m.seq++
-		m.dramDone.push(completion{At: now + clock.Time(m.Cfg.DRAMLat)*m.period, Seq: m.seq, Req: r})
+		m.dramDone.push(now+clock.Time(m.Cfg.DRAMLat)*m.period, m.seq, &r)
 	}
 }
 
-// ScheduleLocal schedules a response that bypasses the shared hierarchy —
-// the CU uses it for L1 hits, whose latency is in the CU's own clock
-// domain. The response lands through the same deterministic completion
+// ScheduleLocal schedules *r, marked as an L1 hit, as a response that
+// bypasses the shared hierarchy — the CU uses it for L1 hits, whose
+// latency is in the CU's own clock domain. The response lands through the same deterministic completion
 // queue as L2/DRAM responses. CU clock frequencies can drop between
 // issues, so local land times are not monotonic and need the heap.
-func (m *MemSys) ScheduleLocal(r Request, at clock.Time) {
+func (m *MemSys) ScheduleLocal(r *Request, at clock.Time) {
 	r.L1Hit = true
 	m.seq++
-	m.local.push(completion{At: at, Seq: m.seq, Req: r})
+	m.local.push(at, m.seq, r)
 }
 
 // PopDone appends to buf every completion landing at or before now, in
@@ -452,15 +463,17 @@ func (m *MemSys) PopDone(now clock.Time, buf []Request) []Request {
 				src = 2
 			}
 		}
-		switch src {
-		case 0:
-			buf = append(buf, m.l2Done.pop().Req)
-		case 1:
-			buf = append(buf, m.dramDone.pop().Req)
-		case 2:
-			buf = append(buf, m.local.pop().Req)
-		default:
+		if src == none {
 			return buf
+		}
+		buf = append(buf, Request{})
+		switch dst := &buf[len(buf)-1]; src {
+		case 0:
+			m.l2Done.popTo(dst)
+		case 1:
+			m.dramDone.popTo(dst)
+		default:
+			m.local.popTo(dst)
 		}
 	}
 }

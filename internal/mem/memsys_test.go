@@ -165,7 +165,7 @@ func TestCompletionOrderDeterministic(t *testing.T) {
 
 func TestScheduleLocalMarksL1Hit(t *testing.T) {
 	m := NewMemSys(testConfig())
-	m.ScheduleLocal(Request{Addr: 0x40, CU: 2}, 500)
+	m.ScheduleLocal(&Request{Addr: 0x40, CU: 2}, 500)
 	var buf []Request
 	buf = m.PopDone(500, buf)
 	if len(buf) != 1 || !buf[0].L1Hit {
@@ -202,7 +202,7 @@ func TestMemSysCloneIndependence(t *testing.T) {
 func TestQueueFIFO(t *testing.T) {
 	var q queue
 	for i := 0; i < 200; i++ {
-		q.push(Request{Addr: uint64(i)})
+		q.push(&Request{Addr: uint64(i)})
 	}
 	for i := 0; i < 150; i++ {
 		if got := q.pop(); got.Addr != uint64(i) {
@@ -211,7 +211,7 @@ func TestQueueFIFO(t *testing.T) {
 	}
 	// Interleave to exercise compaction.
 	for i := 200; i < 400; i++ {
-		q.push(Request{Addr: uint64(i)})
+		q.push(&Request{Addr: uint64(i)})
 		if got := q.pop(); got.Addr != uint64(i-50) {
 			t.Fatalf("interleaved pop got %d, want %d", got.Addr, i-50)
 		}
@@ -225,11 +225,16 @@ func TestComplHeapOrdering(t *testing.T) {
 	var h complHeap
 	times := []clock.Time{500, 100, 300, 100, 700, 200}
 	for i, at := range times {
-		h.push(completion{At: at, Seq: int64(i)})
+		h.push(at, int64(i), &Request{Addr: uint64(i)})
 	}
 	var prev completion
 	for i := 0; len(h) > 0; i++ {
-		c := h.pop()
+		c := h[0]
+		var r Request
+		h.popTo(&r)
+		if r != c.Req {
+			t.Fatalf("popped request %+v, want the earliest's %+v", r, c.Req)
+		}
 		if i > 0 {
 			if c.At < prev.At || (c.At == prev.At && c.Seq < prev.Seq) {
 				t.Fatalf("heap order violated: %+v after %+v", c, prev)

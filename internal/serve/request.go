@@ -100,10 +100,20 @@ func (s *Server) parseSimRequest(body io.Reader) (orchestrate.Job, time.Duration
 		return j, 0, &requestError{fmt.Sprintf("epoch must be positive, got %d ps", j.EpochPs)}
 	}
 	if req.Objective != "" {
-		if _, err := exp.ObjectiveByName(req.Objective); err != nil {
+		obj, err := exp.ObjectiveByName(req.Objective)
+		if err != nil {
 			return j, 0, &requestError{fmt.Sprintf("%v (try EDP, ED2P, Energy@5%%)", err)}
 		}
-		j.Objective = req.Objective
+		// Key the job by the objective's canonical name, so equivalent
+		// spellings (ED02P, Energy@5.0%) share one simulation and one
+		// cache entry. A spelling whose canonical name denotes another
+		// objective (Energy@5.5% prints as Energy@6%) has no faithful
+		// key, so it is refused.
+		name := obj.Name()
+		if back, err := exp.ObjectiveByName(name); err != nil || back != obj {
+			return j, 0, &requestError{fmt.Sprintf("objective %q is not representable; its canonical spelling %q names a different objective", req.Objective, name)}
+		}
+		j.Objective = name
 	}
 	if req.CUs < 0 || req.CUsPerDomain < 0 || req.Scale < 0 || req.MaxTimeMs < 0 ||
 		req.MaxTimePs < 0 || req.OracleSamples < 0 || req.MaxCycles < 0 || req.TimeoutMs < 0 {

@@ -99,3 +99,45 @@ func TestSimRequestTimeRange(t *testing.T) {
 		}
 	}
 }
+
+// TestSimRequestCanonicalObjective: equivalent spellings of an objective
+// key one job, under the objective's canonical name; a spelling whose
+// canonical name denotes a different objective is refused with a 400
+// that names that spelling.
+func TestSimRequestCanonicalObjective(t *testing.T) {
+	s, _ := newTestServer(t, &stubBackend{}, nil)
+	app := workload.Names()[0]
+	parse := func(obj string) (string, string, error) {
+		j, _, err := s.parseSimRequest(strings.NewReader(fmt.Sprintf(`{"app":%q,"design":"PCSTALL","objective":%q}`, app, obj)))
+		return j.Objective, j.Key(), err
+	}
+	for canon, spellings := range map[string][]string{
+		"ED2P":      {"ED02P", "ED2P"},
+		"EDP":       {"ED1P", "EDP"},
+		"Energy@5%": {"Energy@5.0%", "Energy@5%"},
+	} {
+		_, want, err := parse(canon)
+		if err != nil {
+			t.Fatalf("%s: %v", canon, err)
+		}
+		for _, sp := range spellings {
+			name, key, err := parse(sp)
+			if err != nil {
+				t.Fatalf("%s: %v", sp, err)
+			}
+			if name != canon || key != want {
+				t.Errorf("%s: keyed as objective %q, key %s; want %q, key %s", sp, name, key, canon, want)
+			}
+		}
+	}
+	for obj, canon := range map[string]string{"Energy@5.5%": "Energy@6%", "QoS@1000.5": "QoS@1000"} {
+		w := postSim(t, s.Handler(), fmt.Sprintf(`{"app":%q,"design":"PCSTALL","objective":%q}`, app, obj))
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", obj, w.Code)
+			continue
+		}
+		if e := decodeError(t, w); !strings.Contains(e.Error, canon) {
+			t.Errorf("%s: error %q does not name the canonical spelling %s", obj, e.Error, canon)
+		}
+	}
+}

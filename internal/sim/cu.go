@@ -15,9 +15,10 @@ type CU struct {
 	ID     int32
 	Domain int32
 	WFs    []Wavefront
-	// SIMDFreeAt is the time each SIMD finishes its current instruction.
-	SIMDFreeAt []clock.Time
-	L1         mem.Cache
+	// simds holds each SIMD's issue state, in one record per SIMD so an
+	// issue attempt touches one place.
+	simds []simdState
+	L1    mem.Cache
 	// L1MissOut is the number of in-flight L1 misses (MSHR occupancy).
 	L1MissOut int32
 	// LoadsInFlight and StoresInFlight count this CU's in-flight lines.
@@ -27,21 +28,10 @@ type CU struct {
 	CritEnd clock.Time
 	// ActiveWaves counts occupied wavefront slots.
 	ActiveWaves int32
-	// simdQ[s] lists the occupied slots bound to SIMD s in age order
-	// (GlobalWave ascending); dispatch appends (wave IDs are monotonic)
-	// and retire removes.
-	simdQ [][]int32
-	// runnable[s] counts WFRunning waves on SIMD s, maintained at every
-	// state transition so scheduleCU and tick are O(#SIMDs) instead of
-	// scanning wave slots.
-	runnable []int32
-	// runMask[s] mirrors runnable as a bitmask over simdQ positions: bit
-	// p is set iff cu.WFs[simdQ[s][p]].State == WFRunning. tick jumps
-	// straight to the oldest runnable wave with a trailing-zero count
-	// instead of walking past blocked queue entries. Only maintained
-	// when MaxWavesPerCU ≤ 64 (nil otherwise; tick then falls back to
-	// the sequential scan).
-	runMask []uint64
+	// ready has bit s set iff simds[s].runMask != 0 — SIMD s has a
+	// runnable wave. tick and scheduleCU visit only its set bits
+	// (Config.Validate caps SIMDsPerCU at 64).
+	ready uint64
 	// thrQ is the MSHR replay queue: slots of WFThrottled waves in the
 	// order they throttled, consumed FIFO by the wake path in
 	// applyCompletion. It is a circular buffer of capacity len(WFs) —
@@ -57,9 +47,10 @@ type CU struct {
 	blockedMem     int32
 	blockedStore   int32
 	blockedBarrier int32
-	// loopArena and reloadArena back every resident wavefront's Loop and
-	// LoopReload slices (slot i owns [i*loopStride, (i+1)*loopStride)), so
-	// dispatch and clone never allocate per-wave loop state.
+	// loopArena and reloadArena hold every resident wavefront's loop
+	// trip counters and their reload values (slot i owns
+	// [i*loopStride, (i+1)*loopStride), one entry per branch slot), so
+	// dispatch and clone never allocate or re-point per-wave loop state.
 	loopArena   []int32
 	reloadArena []int32
 	loopStride  int32
@@ -83,6 +74,21 @@ type CU struct {
 	Retired []WFRecord
 }
 
+// simdState is one SIMD issue unit of a CU.
+type simdState struct {
+	// freeAt is when the SIMD finishes its current instruction.
+	freeAt clock.Time
+	// runMask has bit p set iff cu.WFs[q[p]].State == WFRunning. tick
+	// jumps straight to the oldest runnable wave with a trailing-zero
+	// count instead of walking past blocked queue entries
+	// (Config.Validate caps MaxWavesPerCU at 64, so one word covers q).
+	runMask uint64
+	// q lists the occupied slots bound to this SIMD in age order
+	// (GlobalWave ascending); dispatch appends (wave IDs are monotonic)
+	// and retire removes.
+	q []int32
+}
+
 const noIdle = clock.Time(-1)
 
 func newCU(id int32, domain int32, cfg *Config, maxBranchSlots int) CU {
@@ -90,46 +96,35 @@ func newCU(id int32, domain int32, cfg *Config, maxBranchSlots int) CU {
 		ID:         id,
 		Domain:     domain,
 		WFs:        make([]Wavefront, cfg.MaxWavesPerCU),
-		SIMDFreeAt: make([]clock.Time, cfg.SIMDsPerCU),
+		simds:      make([]simdState, cfg.SIMDsPerCU),
 		L1:         cfg.Mem.NewL1(),
 		IdleSince:  noIdle,
-		simdQ:      make([][]int32, cfg.SIMDsPerCU),
-		runnable:   make([]int32, cfg.SIMDsPerCU),
 		loopStride: int32(maxBranchSlots),
 	}
-	if cfg.MaxWavesPerCU <= 64 {
-		cu.runMask = make([]uint64, cfg.SIMDsPerCU)
-	}
 	cu.thrQ = make([]int32, cfg.MaxWavesPerCU)
-	if maxBranchSlots > 0 {
-		cu.loopArena = make([]int32, maxBranchSlots*cfg.MaxWavesPerCU)
-		cu.reloadArena = make([]int32, maxBranchSlots*cfg.MaxWavesPerCU)
-		for i := range cu.WFs {
-			off := i * maxBranchSlots
-			// Zero-length windows with full capacity; Wavefront.init
-			// reslices within the window instead of allocating.
-			cu.WFs[i].Loop = cu.loopArena[off : off : off+maxBranchSlots]
-			cu.WFs[i].LoopReload = cu.reloadArena[off : off : off+maxBranchSlots]
-		}
-	}
+	cu.loopArena = make([]int32, maxBranchSlots*cfg.MaxWavesPerCU)
+	cu.reloadArena = make([]int32, maxBranchSlots*cfg.MaxWavesPerCU)
 	return cu
 }
 
-// noteRunnable and noteBlocked maintain the per-SIMD runnable counts and
-// run masks; they must bracket every WFRunning transition. The wave's
+// noteRunnable and noteBlocked maintain the per-SIMD run masks and the
+// ready mask; they must bracket every WFRunning transition. The wave's
 // SIMD binding is cached in wf.SIMD and its queue position in wf.QPos,
 // both maintained by enqueue/dequeue.
+//
+// Positions and SIMD indices are below 64 (Config.Validate), so shift
+// counts are masked with 63, which spares the compiler's oversized-shift
+// handling on these paths; tick does the same.
 func (cu *CU) noteRunnable(wf *Wavefront) {
-	cu.runnable[wf.SIMD]++
-	if cu.runMask != nil {
-		cu.runMask[wf.SIMD] |= 1 << uint(wf.QPos)
-	}
+	cu.simds[wf.SIMD].runMask |= 1 << (uint(wf.QPos) & 63)
+	cu.ready |= 1 << (uint(wf.SIMD) & 63)
 }
 
 func (cu *CU) noteBlocked(wf *Wavefront) {
-	cu.runnable[wf.SIMD]--
-	if cu.runMask != nil {
-		cu.runMask[wf.SIMD] &^= 1 << uint(wf.QPos)
+	sm := &cu.simds[wf.SIMD]
+	sm.runMask &^= 1 << (uint(wf.QPos) & 63)
+	if sm.runMask == 0 {
+		cu.ready &^= 1 << (uint(wf.SIMD) & 63)
 	}
 }
 
@@ -199,58 +194,56 @@ const (
 func (cu *CU) tick(g *GPU, now clock.Time) {
 	dom := &g.Domains[cu.Domain]
 	period := dom.PeriodPs()
-	if now-cu.cycleMark <= period {
-		g.Cycles++ // common case: consecutive cycles
-	} else {
-		dc := (now - cu.cycleMark) / period
-		if dc < 1 {
-			dc = 1
-		}
-		g.Cycles += dc
-	}
+	// One cycle since a consecutive tick, else every skipped one too.
+	g.Cycles += clock.Max(1, dom.PeriodsIn(now-cu.cycleMark))
 	cu.cycleMark = now
+	// free has bit s set iff SIMD s is idle at now. Only SIMD s's own
+	// issue moves its busy time, so the mask holds for the whole tick;
+	// it is built without a branch per SIMD, as which SIMDs are busy
+	// changes every cycle.
+	var free uint64
+	for s := range cu.simds {
+		free |= uint64((now-cu.simds[s].freeAt)>>63+1) << (uint(s) & 63)
+	}
 	issued := false
-	for s := 0; s < len(cu.SIMDFreeAt); s++ {
-		if cu.SIMDFreeAt[s] > now || cu.runnable[s] == 0 {
-			continue
-		}
-		// Oldest-first among runnable waves bound to this SIMD (the
-		// queue is age-ordered), skipping waves that block or hit a
-		// structural hazard without consuming the SIMD.
-		q := cu.simdQ[s]
-		if cu.runMask != nil {
-			// Jump straight to each runnable queue position instead of
-			// walking past blocked entries. The cursor is monotonic: a
-			// wave at or below qi that becomes runnable during exec
-			// (barrier release) is not revisited this cycle, matching the
-			// sequential scan, which had already passed it. The queue is
-			// only edited on the outIssued path (retire), which breaks,
-			// so q stays valid across iterations.
-			for m := cu.runMask[s]; m != 0; {
-				qi := bits.TrailingZeros64(m)
-				out := cu.exec(g, int(q[qi]), s, now, period)
-				if out == outIssued {
-					issued = true
-					break
-				}
-				m = cu.runMask[s] &^ (1<<uint(qi+1) - 1)
+	// Visit idle SIMDs with a runnable wave in ascending order. The ready
+	// mask is re-read after each SIMD: an exec can make a higher-numbered
+	// SIMD runnable (barrier release, or a retire dispatching a new
+	// workgroup), and the ascending scan must still reach it this cycle.
+	for rm := cu.ready & free; rm != 0; {
+		s := bits.TrailingZeros64(rm)
+		sm := &cu.simds[s]
+		// Oldest-first among runnable waves bound to this SIMD (the queue
+		// is age-ordered), skipping waves that block or hit a structural
+		// hazard without consuming the SIMD. The cursor is monotonic: a
+		// wave at or below qi that becomes runnable during exec (barrier
+		// release) is not revisited this cycle. The queue is only edited
+		// on the outIssued path (retire), which breaks, so q stays valid
+		// across iterations.
+		q := sm.q
+		for m := sm.runMask; m != 0; {
+			qi := bits.TrailingZeros64(m)
+			w := int(q[qi])
+			// ALU instructions, the bulk of every program, issue right
+			// here; exec handles every other kind.
+			if wf := &cu.WFs[w]; wf.op.IsCompute() {
+				occ := clock.Time(wf.lat) * period
+				wf.jump(wf.PC + 1)
+				sm.freeAt = now + occ
+				wf.C.OccupancyPs += occ
+				cu.C.OccupancyPs += occ
+				cu.C.IssueSlots++
+				cu.commit(g, wf)
+				issued = true
+				break
 			}
-		} else {
-			for qi := 0; qi < len(q); qi++ {
-				w := int(q[qi])
-				if cu.WFs[w].State != WFRunning {
-					continue
-				}
-				out := cu.exec(g, w, s, now, period)
-				if out == outIssued {
-					issued = true
-					break
-				}
-				// The queue may have been edited by a retire during exec
-				// (barrier release chains); re-read it defensively.
-				q = cu.simdQ[s]
+			if cu.exec(g, w, s, now, period) == outIssued {
+				issued = true
+				break
 			}
+			m = sm.runMask & (^uint64(1) << (uint(qi) & 63)) // positions above qi
 		}
+		rm = cu.ready & free & (^uint64(1) << (uint(s) & 63)) // SIMDs above s
 	}
 	if issued && cu.LoadsInFlight > 0 {
 		cu.C.OverlapPs += period
@@ -262,9 +255,10 @@ func (cu *CU) tick(g *GPU, now clock.Time) {
 // age-ordered queue, caching the wave's SIMD binding.
 func (cu *CU) enqueue(slot int32) {
 	wf := &cu.WFs[slot]
-	wf.SIMD = int32(wf.GlobalWave % int64(len(cu.SIMDFreeAt)))
-	wf.QPos = int32(len(cu.simdQ[wf.SIMD]))
-	cu.simdQ[wf.SIMD] = append(cu.simdQ[wf.SIMD], slot)
+	wf.SIMD = int32(wf.GlobalWave % int64(len(cu.simds)))
+	sm := &cu.simds[wf.SIMD]
+	wf.QPos = int32(len(sm.q))
+	sm.q = append(sm.q, slot)
 	cu.noteRunnable(wf)
 }
 
@@ -275,162 +269,156 @@ func (cu *CU) dequeue(slot int32) {
 	wf := &cu.WFs[slot]
 	s, i := wf.SIMD, wf.QPos
 	cu.noteBlocked(wf)
-	q := cu.simdQ[s]
-	cu.simdQ[s] = append(q[:i], q[i+1:]...)
-	q = cu.simdQ[s]
-	for j := int(i); j < len(q); j++ {
-		cu.WFs[q[j]].QPos = int32(j)
+	sm := &cu.simds[s]
+	sm.q = append(sm.q[:i], sm.q[i+1:]...)
+	for j := int(i); j < len(sm.q); j++ {
+		cu.WFs[sm.q[j]].QPos = int32(j)
 	}
-	if cu.runMask != nil {
-		m := cu.runMask[s]
-		low := m & (1<<uint(i) - 1)
-		cu.runMask[s] = low | m>>uint(i+1)<<uint(i)
-	}
+	m := sm.runMask
+	low := m & (1<<uint(i) - 1)
+	sm.runMask = low | m>>uint(i+1)<<uint(i)
 }
 
-func (cu *CU) commit(g *GPU, wf *Wavefront, memOp bool) {
+// exec attempts to issue wave w's next instruction, which is not an ALU
+// instruction (tick issues those itself), on SIMD s. Branches, waitcnts
+// and memory instructions occupy the SIMD for one cycle and share one
+// issue tail here; memory issue and the rare kinds live in their own
+// functions so this one stays small enough to keep its state in
+// registers.
+func (cu *CU) exec(g *GPU, w, s int, now clock.Time, period clock.Time) execOutcome {
+	wf := &cu.WFs[w]
+	in := &wf.code[wf.PC]
+	switch in.Kind {
+	case isa.Branch:
+		i := w*int(cu.loopStride) + int(in.BranchSlot)
+		if cu.loopArena[i] > 0 {
+			cu.loopArena[i]--
+			wf.jump(in.Imm)
+		} else {
+			cu.loopArena[i] = cu.reloadArena[i]
+			wf.jump(wf.PC + 1)
+		}
+	case isa.WaitCnt:
+		if wf.OutLoads+wf.OutStores > in.Imm {
+			cu.waitMem(wf, in.Imm, now)
+			return outBlocked
+		}
+		wf.jump(wf.PC + 1)
+	case isa.VLoad, isa.VStore:
+		if !cu.issueMem(g, wf, w, in, now, period) {
+			return outBlocked
+		}
+		wf.jump(wf.PC + 1)
+	default:
+		return cu.execRare(g, wf, w, s, in, now, period)
+	}
+	cu.simds[s].freeAt = now + period
+	wf.C.OccupancyPs += period
+	cu.C.OccupancyPs += period
+	cu.C.IssueSlots++
+	cu.commit(g, wf)
+	return outIssued
+}
+
+// commit counts one committed instruction of wf.
+func (cu *CU) commit(g *GPU, wf *Wavefront) {
 	cu.C.Committed++
 	wf.C.Committed++
-	if memOp {
-		cu.C.MemCommitted++
-	}
 	g.TotalCommitted++
 }
 
-// exec attempts to issue the wavefront's next instruction on SIMD s.
-func (cu *CU) exec(g *GPU, w, s int, now clock.Time, period clock.Time) execOutcome {
-	wf := &cu.WFs[w]
-	prog := &g.Kernels[wf.Kernel].Program
-	in := &prog.Code[wf.PC]
+// waitMem blocks wf until its outstanding memory lines drop to thresh.
+func (cu *CU) waitMem(wf *Wavefront, thresh int32, now clock.Time) {
+	wf.State = WFWaitCnt
+	wf.WaitThresh = thresh
+	wf.BlockedSince = now
+	cu.noteBlocked(wf)
+	cu.noteMemBlocked(wf)
+}
 
-	switch in.Kind {
-	case isa.VALU, isa.SALU, isa.LDS:
-		occ := clock.Time(in.Latency) * period
-		cu.SIMDFreeAt[s] = now + occ
-		wf.C.OccupancyPs += occ
-		cu.C.OccupancyPs += int64(occ)
-		cu.C.IssueSlots++
-		cu.commit(g, wf, false)
-		wf.PC++
-		return outIssued
-
-	case isa.VLoad, isa.VStore:
-		lines := int32(in.Pattern.Lines)
-		if cu.L1MissOut+lines > int32(g.Cfg.Mem.L1MSHRs) {
-			// MSHR backpressure: block the wave as memory stall until a
-			// miss completes, exactly like an implicit waitcnt. Leaving
-			// it runnable would misaccount memory-system time as
-			// frequency-scalable core time.
-			wf.State = WFThrottled
-			wf.ThrLines = lines
-			wf.BlockedSince = now
-			cu.noteBlocked(wf)
-			cu.noteMemBlocked(wf)
-			cu.thrPush(int32(w))
-			return outBlocked
-		}
-		store := in.Kind == isa.VStore
-		for l := int32(0); l < lines; l++ {
-			addr := wf.lineAddr(&in.Pattern, int(l))
-			cu.C.LinesIssued++
-			if !store && cu.L1.Probe(addr) {
-				cu.C.L1Hits++
-				g.scheduleLocal(mem.Request{
-					Addr: addr, CU: cu.ID, WF: int32(w),
-					Issue: now,
-				}, now+clock.Time(g.Cfg.Mem.L1Latency)*period)
-				wf.OutLoads++
-				cu.LoadsInFlight++
-				continue
-			}
-			leading := !store && cu.LoadsInFlight == 0
-			if !store {
-				cu.C.L1Misses++
-			}
-			g.submit(mem.Request{
-				Addr: addr, CU: cu.ID, WF: int32(w),
-				Store: store, Issue: now, Leading: leading,
-			})
-			cu.L1MissOut++
-			if store {
-				wf.OutStores++
-				cu.StoresInFlight++
-			} else {
-				wf.OutLoads++
-				cu.LoadsInFlight++
-			}
-		}
-		wf.MemCounter++
-		cu.SIMDFreeAt[s] = now + period
-		wf.C.OccupancyPs += period
-		cu.C.OccupancyPs += int64(period)
-		cu.C.IssueSlots++
-		cu.commit(g, wf, true)
-		wf.PC++
-		return outIssued
-
-	case isa.WaitCnt:
-		if wf.OutLoads+wf.OutStores <= in.Imm {
-			cu.SIMDFreeAt[s] = now + period
-			wf.C.OccupancyPs += period
-			cu.C.OccupancyPs += int64(period)
-			cu.C.IssueSlots++
-			cu.commit(g, wf, false)
-			wf.PC++
-			return outIssued
-		}
-		wf.State = WFWaitCnt
-		wf.WaitThresh = in.Imm
+// issueMem issues the lines of memory instruction in for wave w, or
+// throttles the wave when they do not fit the free L1 MSHRs. It reports
+// whether the instruction issued; the caller then finishes the issue
+// (SIMD occupancy, commit, PC).
+func (cu *CU) issueMem(g *GPU, wf *Wavefront, w int, in *isa.Instruction, now, period clock.Time) bool {
+	lines := int32(in.Pattern.Lines)
+	if cu.L1MissOut+lines > int32(g.Cfg.Mem.L1MSHRs) {
+		// MSHR backpressure: block the wave as memory stall until a
+		// miss completes, exactly like an implicit waitcnt. Leaving
+		// it runnable would misaccount memory-system time as
+		// frequency-scalable core time.
+		wf.State = WFThrottled
+		wf.ThrLines = lines
 		wf.BlockedSince = now
 		cu.noteBlocked(wf)
 		cu.noteMemBlocked(wf)
-		return outBlocked
+		cu.thrPush(int32(w))
+		return false
+	}
+	store := in.Kind == isa.VStore
+	for l := int32(0); l < lines; l++ {
+		addr := wf.lineAddr(&in.Pattern, int(l))
+		cu.C.LinesIssued++
+		if !store && cu.L1.Probe(addr) {
+			cu.C.L1Hits++
+			g.scheduleLocal(mem.Request{
+				Addr: addr, CU: cu.ID, WF: int32(w),
+				Issue: now,
+			}, now+clock.Time(g.Cfg.Mem.L1Latency)*period)
+			wf.OutLoads++
+			cu.LoadsInFlight++
+			continue
+		}
+		leading := !store && cu.LoadsInFlight == 0
+		if !store {
+			cu.C.L1Misses++
+		}
+		g.submit(mem.Request{
+			Addr: addr, CU: cu.ID, WF: int32(w),
+			Store: store, Issue: now, Leading: leading,
+		})
+		cu.L1MissOut++
+		if store {
+			wf.OutStores++
+			cu.StoresInFlight++
+		} else {
+			wf.OutLoads++
+			cu.LoadsInFlight++
+		}
+	}
+	wf.MemCounter++
+	cu.C.MemCommitted++
+	return true
+}
 
+// execRare executes the kinds that do not issue every few cycles:
+// barriers, program end, and (for a program corrupted in flight) unknown
+// kinds.
+func (cu *CU) execRare(g *GPU, wf *Wavefront, w, s int, in *isa.Instruction, now, period clock.Time) execOutcome {
+	switch in.Kind {
 	case isa.Barrier:
+		// A last arrival's barrier commits during the release, and the
+		// wave may issue again next cycle; either way this cycle's issue
+		// attempt is over.
 		wf.State = WFBarrier
 		wf.BlockedSince = now
 		cu.noteBlocked(wf)
 		cu.blockedBarrier++
 		cu.tryReleaseBarrier(g, wf.WG, now)
-		if wf.State == WFRunning {
-			// This wave was the last arrival; its barrier committed
-			// during the release. It may issue again next cycle.
-			return outBlocked
-		}
 		return outBlocked
-
-	case isa.Branch:
-		slot := in.BranchSlot
-		if wf.Loop[slot] > 0 {
-			wf.Loop[slot]--
-			wf.PC = in.Imm
-		} else {
-			wf.Loop[slot] = wf.LoopReload[slot]
-			wf.PC++
-		}
-		cu.SIMDFreeAt[s] = now + period
-		wf.C.OccupancyPs += period
-		cu.C.OccupancyPs += int64(period)
-		cu.C.IssueSlots++
-		cu.commit(g, wf, false)
-		return outIssued
 
 	case isa.EndPgm:
 		if wf.OutLoads+wf.OutStores > 0 {
 			// Implicit waitcnt 0 before program end so responses never
 			// target a recycled slot.
-			wf.State = WFWaitCnt
-			wf.WaitThresh = 0
-			wf.BlockedSince = now
-			cu.noteBlocked(wf)
-			cu.noteMemBlocked(wf)
+			cu.waitMem(wf, 0, now)
 			return outBlocked
 		}
-		cu.SIMDFreeAt[s] = now + period
+		cu.simds[s].freeAt = now + period
 		wf.C.OccupancyPs += period
-		cu.C.OccupancyPs += int64(period)
+		cu.C.OccupancyPs += period
 		cu.C.IssueSlots++
-		cu.commit(g, wf, false)
+		cu.commit(g, wf)
 		cu.retire(g, w, now)
 		return outIssued
 
@@ -440,7 +428,7 @@ func (cu *CU) exec(g *GPU, w, s int, now clock.Time, period clock.Time) execOutc
 		// to a structured watchdog stop instead of a panic.
 		g.Stuck = &DeadlockError{
 			Kind: DeadlockBadInstr, CU: cu.ID, Slot: int32(w),
-			WG: wf.WG, GlobalWave: wf.GlobalWave, PC: prog.PC(wf.PC),
+			WG: wf.WG, GlobalWave: wf.GlobalWave, PC: g.Kernels[wf.Kernel].Program.PC(wf.PC),
 			Now: now, Cycles: g.Cycles, Waiting: g.residentWaves(),
 		}
 		return outBlocked
@@ -470,8 +458,8 @@ func (cu *CU) tryReleaseBarrier(g *GPU, wg int64, now clock.Time) {
 		wf.State = WFRunning
 		cu.noteRunnable(wf)
 		cu.blockedBarrier--
-		cu.commit(g, wf, false)
-		wf.PC++
+		cu.commit(g, wf)
+		wf.jump(wf.PC + 1)
 	}
 }
 
@@ -492,17 +480,6 @@ func (cu *CU) retire(g *GPU, w int, now clock.Time) {
 	wf.State = WFFree
 	cu.ActiveWaves--
 	g.noteWaveDone(now)
-}
-
-// canIssue reports whether any wavefront could issue now or once a SIMD
-// frees (used to decide whether the CU may sleep).
-func (cu *CU) canIssue() bool {
-	for _, n := range cu.runnable {
-		if n > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // beginIdle classifies and opens an idle interval at time now, O(1) from
@@ -573,7 +550,7 @@ func (cu *CU) resetEpochState(g *GPU, end clock.Time) {
 		}
 	}
 	// Re-open the idle interval if the CU is still blocked.
-	if !cu.canIssue() && cu.ActiveWaves > 0 {
+	if cu.ready == 0 && cu.ActiveWaves > 0 {
 		cu.beginIdle(end)
 	}
 }
@@ -634,26 +611,18 @@ func (cu *CU) cloneInto(dst *CU) {
 	dst.WFs = reuse(old.WFs, cu.WFs)
 	dst.loopArena = reuse(old.loopArena, cu.loopArena)
 	dst.reloadArena = reuse(old.reloadArena, cu.reloadArena)
-	if stride := int(cu.loopStride); stride > 0 {
-		for i := range dst.WFs {
-			w := &dst.WFs[i]
-			off := i * stride
-			w.Loop = dst.loopArena[off : off+len(w.Loop) : off+stride]
-			w.LoopReload = dst.reloadArena[off : off+len(w.LoopReload) : off+stride]
-		}
-	}
-	dst.SIMDFreeAt = reuse(old.SIMDFreeAt, cu.SIMDFreeAt)
-	dst.runnable = reuse(old.runnable, cu.runnable)
-	dst.runMask = reuse(old.runMask, cu.runMask)
 	dst.thrQ = reuse(old.thrQ, cu.thrQ)
 	dst.L1 = cu.L1.Clone()
-	dst.Retired = reuse(old.Retired, cu.Retired)
-	simdQ := old.simdQ
-	if cap(simdQ) < len(cu.simdQ) {
-		simdQ = make([][]int32, len(cu.simdQ))
+	dst.Retired = append(old.Retired[:0], cu.Retired...)
+	simds := old.simds
+	if cap(simds) < len(cu.simds) {
+		simds = make([]simdState, len(cu.simds))
 	}
-	dst.simdQ = simdQ[:len(cu.simdQ)]
-	for s := range cu.simdQ {
-		dst.simdQ[s] = append(dst.simdQ[s][:0], cu.simdQ[s]...)
+	simds = simds[:len(cu.simds)]
+	for s := range cu.simds {
+		q := simds[s].q // dst's own queue array, reused
+		simds[s] = cu.simds[s]
+		simds[s].q = append(q[:0], cu.simds[s].q...)
 	}
+	dst.simds = simds
 }

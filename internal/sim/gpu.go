@@ -55,8 +55,10 @@ func (c Config) Validate() error {
 	if c.NumCUs < 1 {
 		return fmt.Errorf("sim: %d CUs", c.NumCUs)
 	}
-	if c.MaxWavesPerCU < 1 || c.SIMDsPerCU < 1 {
-		return fmt.Errorf("sim: bad CU shape: %d waves, %d SIMDs", c.MaxWavesPerCU, c.SIMDsPerCU)
+	if c.MaxWavesPerCU < 1 || c.SIMDsPerCU < 1 || c.MaxWavesPerCU > 64 || c.SIMDsPerCU > 64 {
+		// The scheduler keeps one bit per SIMD and one per queued wave in
+		// 64-bit masks.
+		return fmt.Errorf("sim: bad CU shape: %d waves, %d SIMDs (each must be 1-64)", c.MaxWavesPerCU, c.SIMDsPerCU)
 	}
 	if err := c.Mem.Validate(); err != nil {
 		return err
@@ -118,8 +120,9 @@ type GPU struct {
 
 	heap      tickHeap
 	memTickAt clock.Time
-	// memDirty is set by submit/scheduleLocal so the event loop knows a
-	// CU sweep changed the memory system's next-completion time.
+	// memDirty is set by scheduleLocal so the event loop knows a CU sweep
+	// changed the memory system's next-completion time (a submit only
+	// queues at a bank, which moves the uncore tick, not a completion).
 	memDirty bool
 	doneBuf  []mem.Request
 	// dirty lists CUs touched by the current completion batch; the
@@ -240,7 +243,9 @@ func (g *GPU) dispatchWG(cu *CU, now clock.Time) {
 		}
 		gw := g.GlobalWaveSeq
 		g.GlobalWaveSeq++
-		wf.init(kIdx, &kern.Program, wg, int32(kern.WavesPerWG), gw, now, g.Rng.Split(uint64(gw)))
+		lo, hi := i*int(cu.loopStride), (i+1)*int(cu.loopStride)
+		wf.init(kIdx, &kern.Program, wg, int32(kern.WavesPerWG), gw, now, g.Rng.Split(uint64(gw)),
+			cu.loopArena[lo:hi], cu.reloadArena[lo:hi])
 		cu.ActiveWaves++
 		cu.enqueue(int32(i))
 		placed++
@@ -262,7 +267,6 @@ func (g *GPU) noteWaveDone(now clock.Time) {
 // submit routes a request into the shared hierarchy, waking the uncore.
 func (g *GPU) submit(r mem.Request) {
 	g.Msys.Submit(r)
-	g.memDirty = true
 	if g.memTickAt == InfTime {
 		g.memTickAt = g.Msys.NextTickAfter(g.Now)
 	}
@@ -270,7 +274,7 @@ func (g *GPU) submit(r mem.Request) {
 
 // scheduleLocal schedules an L1-hit response.
 func (g *GPU) scheduleLocal(r mem.Request, at clock.Time) {
-	g.Msys.ScheduleLocal(r, at)
+	g.Msys.ScheduleLocal(&r, at)
 	g.memDirty = true
 }
 
@@ -278,13 +282,15 @@ func (g *GPU) scheduleLocal(r mem.Request, at clock.Time) {
 // some runnable wavefront's SIMD is free, or sleep if nothing can issue.
 // This is the cycle-skipping core — when every SIMD with runnable work is
 // busy, the CU leaps straight past the known-busy span instead of ticking
-// through it. O(#SIMDs) thanks to the maintained runnable counts.
+// through it. The ready mask says which SIMDs have runnable work.
 func (g *GPU) scheduleCU(cu *CU, now clock.Time) {
+	// Every SIMD is visited, a SIMD without a runnable wave counting as
+	// never free: a fixed trip count and no branch on the ready mask,
+	// whose population changes from tick to tick.
 	earliest := InfTime
-	for s := range cu.SIMDFreeAt {
-		if cu.runnable[s] > 0 && cu.SIMDFreeAt[s] < earliest {
-			earliest = cu.SIMDFreeAt[s]
-		}
+	for s := range cu.simds {
+		idle := int64(cu.ready>>(uint(s)&63)&1) - 1 // 0 if runnable, else -1
+		earliest = clock.Min(earliest, cu.simds[s].freeAt|idle&InfTime)
 	}
 	if earliest == InfTime {
 		cu.beginIdle(now)
@@ -298,11 +304,7 @@ func (g *GPU) scheduleCU(cu *CU, now clock.Time) {
 		cu.cycleMark = now
 	}
 	dom := &g.Domains[cu.Domain]
-	t := earliest - 1
-	if t < now {
-		t = now
-	}
-	g.heap.set(cu.ID, dom.NextTickAfter(t))
+	g.heap.set(cu.ID, dom.NextTickAfter(clock.Max(earliest-1, now)))
 }
 
 // applyCompletion lands one memory response at time now.
@@ -367,12 +369,11 @@ func (g *GPU) applyCompletion(r mem.Request, now clock.Time) {
 		wf.State = WFRunning
 		cu.noteRunnable(wf)
 		cu.noteMemWake(wf)
-		prog := &g.Kernels[wf.Kernel].Program
-		cu.commit(g, wf, false)
-		if prog.Code[wf.PC].Kind == isa.EndPgm {
+		cu.commit(g, wf)
+		if wf.op == isa.EndPgm {
 			cu.retire(g, int(r.WF), now)
 		} else {
-			wf.PC++
+			wf.jump(wf.PC + 1)
 		}
 	}
 }
@@ -394,16 +395,13 @@ func (g *GPU) RunUntil(limit clock.Time) {
 	// queue — are cached across iterations and refreshed only when they
 	// can actually have moved: the tick schedule after a drain or a CU
 	// sweep, the completion queue after a drain, an uncore batch, or a
-	// submit/L1-hit scheduled during a sweep (memDirty).
+	// L1-hit response scheduled during a sweep (memDirty).
 	ci, ck := g.heap.min()
 	nd, ndok := g.Msys.NextDone()
 	for !g.Finished && g.Stuck == nil {
-		t := ck
-		if g.memTickAt < t {
-			t = g.memTickAt
-		}
-		if ndok && nd < t {
-			t = nd
+		t := clock.Min(ck, g.memTickAt)
+		if ndok {
+			t = clock.Min(t, nd)
 		}
 		if t == InfTime {
 			g.Stuck = g.diagnoseStall()
@@ -479,43 +477,22 @@ func (g *GPU) RunUntil(limit clock.Time) {
 			continue
 		}
 		g.memDirty = false
-		if g.heap.linear {
-			// One ascending pass ticks every CU due at t. A tick only
-			// rewrites its own key (to a strictly later time), so this
-			// visits exactly the CUs repeated min() would, in the same
-			// index order, at one key scan per time step instead of one
-			// per tick.
-			for i := range g.heap.key {
-				if g.heap.key[i] != t {
-					continue
-				}
-				g.CUs[i].tick(g, t)
-				if g.Cfg.MaxCycles > 0 && g.Cycles >= g.Cfg.MaxCycles && !g.Finished && g.Stuck == nil {
-					g.Stuck = &DeadlockError{
-						Kind: DeadlockCycleLimit, Now: t, Cycles: g.Cycles,
-						Waiting: g.residentWaves(),
-					}
-				}
-				if g.Finished || g.Stuck != nil {
-					break
+		// Tick every CU due at t, lowest index first. A tick only moves
+		// keys to times after t, so while the schedule's minimum is still
+		// t it names the next due CU in index order.
+		for ck == t {
+			g.CUs[ci].tick(g, t)
+			if g.Cfg.MaxCycles > 0 && g.Cycles >= g.Cfg.MaxCycles && !g.Finished && g.Stuck == nil {
+				g.Stuck = &DeadlockError{
+					Kind: DeadlockCycleLimit, Now: t, Cycles: g.Cycles,
+					Waiting: g.residentWaves(),
 				}
 			}
-		} else {
-			for ck == t {
-				g.CUs[ci].tick(g, t)
-				if g.Cfg.MaxCycles > 0 && g.Cycles >= g.Cfg.MaxCycles && !g.Finished && g.Stuck == nil {
-					g.Stuck = &DeadlockError{
-						Kind: DeadlockCycleLimit, Now: t, Cycles: g.Cycles,
-						Waiting: g.residentWaves(),
-					}
-				}
-				if g.Finished || g.Stuck != nil {
-					break
-				}
-				ci, ck = g.heap.min()
+			if g.Finished || g.Stuck != nil {
+				break
 			}
+			ci, ck = g.heap.min()
 		}
-		ci, ck = g.heap.min()
 		if g.memDirty {
 			nd, ndok = g.Msys.NextDone()
 		}

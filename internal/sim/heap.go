@@ -22,19 +22,12 @@ type tickHeap struct {
 	heap   []int32      // heap of component indices (heap mode only)
 	pos    []int32      // pos[i] = index of component i within heap
 	linear bool
-	// cachedIdx/cachedKey memoize the linear-mode minimum between
-	// rescans; cachedIdx < 0 marks the cache stale. The event loop calls
-	// min after every schedule change, so keeping the answer warm turns
-	// most of those calls into two loads.
-	cachedIdx int32
-	cachedKey clock.Time
 }
 
 func newTickHeap(n int) tickHeap {
 	h := tickHeap{
-		key:       make([]clock.Time, n),
-		linear:    n <= linearScanMax,
-		cachedIdx: -1,
+		key:    make([]clock.Time, n),
+		linear: n <= linearScanMax,
 	}
 	for i := 0; i < n; i++ {
 		h.key[i] = InfTime
@@ -99,17 +92,14 @@ func (h *tickHeap) down(i int32) {
 func (h *tickHeap) set(i int32, t clock.Time) {
 	if h.linear {
 		h.key[i] = t
-		if h.cachedIdx >= 0 {
-			if t < h.cachedKey || (t == h.cachedKey && i < h.cachedIdx) {
-				h.cachedIdx, h.cachedKey = i, t
-			} else if i == h.cachedIdx && t != h.cachedKey {
-				// The cached minimum moved later; some other
-				// component may now be earliest.
-				h.cachedIdx = -1
-			}
-		}
 		return
 	}
+	h.setHeap(i, t)
+}
+
+// setHeap is set for heap mode, kept apart so set stays small enough to
+// inline into the event loop.
+func (h *tickHeap) setHeap(i int32, t clock.Time) {
 	old := h.key[i]
 	if old == t {
 		return
@@ -125,17 +115,16 @@ func (h *tickHeap) set(i int32, t clock.Time) {
 // min returns the component with the earliest tick and its time.
 func (h *tickHeap) min() (int32, clock.Time) {
 	if h.linear {
-		if h.cachedIdx >= 0 {
-			return h.cachedIdx, h.cachedKey
+		// Keys lie in [0, InfTime], so k-bk cannot overflow and its sign
+		// bit says whether k is smaller: the scan selects with masks,
+		// because which component is earliest changes unpredictably.
+		best, bk := int32(0), h.key[0]
+		for i, k := range h.key {
+			d := k - bk
+			lt := d >> 63 // -1 if k < bk, else 0
+			bk += d & lt
+			best ^= (best ^ int32(i)) & int32(lt)
 		}
-		best := int32(0)
-		bk := h.key[0]
-		for i := 1; i < len(h.key); i++ {
-			if h.key[i] < bk {
-				best, bk = int32(i), h.key[i]
-			}
-		}
-		h.cachedIdx, h.cachedKey = best, bk
 		return best, bk
 	}
 	i := h.heap[0]
@@ -146,11 +135,9 @@ func (h *tickHeap) min() (int32, clock.Time) {
 // capacity.
 func (h *tickHeap) cloneInto(dst *tickHeap) {
 	*dst = tickHeap{
-		key:       reuse(dst.key, h.key),
-		heap:      reuse(dst.heap, h.heap),
-		pos:       reuse(dst.pos, h.pos),
-		linear:    h.linear,
-		cachedIdx: h.cachedIdx,
-		cachedKey: h.cachedKey,
+		key:    reuse(dst.key, h.key),
+		heap:   reuse(dst.heap, h.heap),
+		pos:    reuse(dst.pos, h.pos),
+		linear: h.linear,
 	}
 }

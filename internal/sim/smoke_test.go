@@ -39,3 +39,18 @@ func TestSmokeRunApp(t *testing.T) {
 		t.Fatalf("committed mismatch: epochs=%d gpu=%d", committed, g.TotalCommitted)
 	}
 }
+
+// TestConfigRejectsWideCUs: the scheduler keeps one bit per SIMD and one
+// per queued wavefront in 64-bit masks, so a CU wider than 64 in either
+// must be refused by Validate (and so by New), not mis-simulated.
+func TestConfigRejectsWideCUs(t *testing.T) {
+	for _, shape := range []struct{ waves, simds int }{{65, 4}, {40, 65}, {64, 64}} {
+		cfg := sim.DefaultConfig(2)
+		cfg.MaxWavesPerCU = shape.waves
+		cfg.SIMDsPerCU = shape.simds
+		err := cfg.Validate()
+		if wide := shape.waves > 64 || shape.simds > 64; wide != (err != nil) {
+			t.Errorf("%d waves, %d SIMDs: Validate() = %v", shape.waves, shape.simds, err)
+		}
+	}
+}

@@ -25,59 +25,68 @@ const (
 )
 
 // Wavefront is one resident 64-lane wave. It is plain data; copying the
-// struct (plus its slices) snapshots it.
+// struct snapshots it (its loop trip counters live in the owning CU's
+// arenas). Fields are ordered so the ones every issue touches share the
+// struct's first 64 bytes and the per-epoch counters the next 64.
 type Wavefront struct {
-	State WFState
-	// Kernel indexes GPU.Kernels.
-	Kernel int32
+	// code is the kernel program's instruction slice (shared, read-only),
+	// cached at dispatch so issue and wake need not index GPU.Kernels.
+	code []isa.Instruction
 	// PC is the current instruction index within the kernel's program.
 	PC int32
-	// WG is the global workgroup ID this wave belongs to.
-	WG int64
-	// WGSize is the number of waves in the workgroup (for barriers).
-	WGSize int32
-	// GlobalWave is the global dispatch index (also the age key for
-	// oldest-first scheduling: smaller = older).
-	GlobalWave int64
 	// SIMD is the issue unit this wave is bound to (GlobalWave modulo the
 	// CU's SIMD count, cached at dispatch by CU.enqueue).
 	SIMD int32
 	// QPos is this wave's position within its SIMD's age queue,
 	// maintained by CU.enqueue/dequeue so run-mask updates are O(1).
 	QPos int32
-	// DispatchedAt is when the wave became resident.
-	DispatchedAt clock.Time
-	// Loop holds the remaining trip counts, one per branch slot.
-	Loop []int32
-	// LoopReload holds the per-wavefront reload values (trip-1 with the
-	// program's per-wave jitter applied at dispatch).
-	LoopReload []int32
 	// OutLoads and OutStores count in-flight memory lines.
 	OutLoads  int32
 	OutStores int32
 	// WaitThresh is the s_waitcnt threshold while State == WFWaitCnt.
 	WaitThresh int32
+	// MemCounter counts executed memory instructions (address stream
+	// position for streaming patterns).
+	MemCounter uint32
 	// ThrLines caches the line count of the memory instruction a
 	// WFThrottled wave is parked on, so the MSHR replay loop can check
 	// capacity without chasing kernel program pointers.
 	ThrLines int32
-	// BlockedSince is when the wave entered WFWaitCnt or WFBarrier.
-	BlockedSince clock.Time
+	State    WFState
+	// op and lat are the kind and latency of code[PC], kept by jump so an
+	// issue attempt reads them here instead of chasing the code slice.
+	op  isa.Kind
+	lat uint8
+	// Kernel indexes GPU.Kernels.
+	Kernel int32
+	C      WFCounters
 	// Rng drives this wave's random access patterns.
 	Rng xrand.State
-	// MemCounter counts executed memory instructions (address stream
-	// position for streaming patterns).
-	MemCounter uint32
+	// GlobalWave is the global dispatch index (also the age key for
+	// oldest-first scheduling: smaller = older).
+	GlobalWave int64
+	// BlockedSince is when the wave entered WFWaitCnt or WFBarrier.
+	BlockedSince clock.Time
+	// WG is the global workgroup ID this wave belongs to.
+	WG int64
+	// WGSize is the number of waves in the workgroup (for barriers).
+	WGSize int32
+	// DispatchedAt is when the wave became resident.
+	DispatchedAt clock.Time
 	// EpochStartPC is the byte PC at the start of the current epoch.
 	EpochStartPC uint64
-	C            WFCounters
 }
 
-// init prepares a freshly dispatched wavefront in place.
-func (wf *Wavefront) init(k int32, prog *isa.Program, wg int64, wgSize int32, globalWave int64, now clock.Time, rng xrand.State) {
+// init prepares a freshly dispatched wavefront in place. loop and reload
+// are the slot's trip-counter windows in its CU's arenas (at least
+// prog.BranchSlots long): loop holds the remaining trip count of each
+// branch slot, reload its per-wave reload value (trip-1 with the
+// program's per-wave jitter applied here).
+func (wf *Wavefront) init(k int32, prog *isa.Program, wg int64, wgSize int32, globalWave int64, now clock.Time, rng xrand.State, loop, reload []int32) {
 	wf.State = WFRunning
 	wf.Kernel = k
-	wf.PC = 0
+	wf.code = prog.Code
+	wf.jump(0)
 	wf.WG = wg
 	wf.WGSize = wgSize
 	wf.GlobalWave = globalWave
@@ -91,27 +100,27 @@ func (wf *Wavefront) init(k int32, prog *isa.Program, wg int64, wgSize int32, gl
 	wf.EpochStartPC = prog.PC(0)
 	wf.C.reset()
 
-	if cap(wf.Loop) < prog.BranchSlots {
-		wf.Loop = make([]int32, prog.BranchSlots)
-		wf.LoopReload = make([]int32, prog.BranchSlots)
-	} else {
-		wf.Loop = wf.Loop[:prog.BranchSlots]
-		wf.LoopReload = wf.LoopReload[:prog.BranchSlots]
-	}
 	for _, in := range prog.Code {
 		if in.Kind != isa.Branch {
 			continue
 		}
-		reload := in.Trip - 1
+		r := in.Trip - 1
 		if in.TripVar > 0 {
-			reload += int32(wf.Rng.Intn(int(2*in.TripVar+1))) - in.TripVar
-			if reload < 0 {
-				reload = 0
+			r += int32(wf.Rng.Intn(int(2*in.TripVar+1))) - in.TripVar
+			if r < 0 {
+				r = 0
 			}
 		}
-		wf.Loop[in.BranchSlot] = reload
-		wf.LoopReload[in.BranchSlot] = reload
+		loop[in.BranchSlot] = r
+		reload[in.BranchSlot] = r
 	}
+}
+
+// jump moves the wave to instruction pc.
+func (wf *Wavefront) jump(pc int32) {
+	wf.PC = pc
+	in := &wf.code[pc]
+	wf.op, wf.lat = in.Kind, in.Latency
 }
 
 // lineAddr produces the line-aligned address for request line i of the

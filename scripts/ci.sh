@@ -90,7 +90,23 @@ echo "==> kill-resume smoke (SIGINT mid-campaign, -resume, byte-identical output
 # flushed to the cache, cancelled jobs excluded) and a -resume rerun must
 # recompute only the missing jobs and print byte-identical figures.
 smoke=$(mktemp -d)
-trap 'rm -rf "$smoke"' EXIT
+# Every process a smoke starts in the background has its PID recorded in
+# bg_pids. On exit — normal, a failed step under set -e, or a signal — the
+# trap stops them all and waits for them before removing the smoke
+# directory, so no server or proxy outlives the script or races the
+# removal with its writes.
+bg_pids=""
+cleanup() {
+	for pid in $bg_pids; do
+		kill "$pid" 2>/dev/null || true
+	done
+	for pid in $bg_pids; do
+		wait "$pid" 2>/dev/null || true
+	done
+	rm -rf "$smoke"
+}
+trap cleanup EXIT
+trap 'exit 130' INT TERM
 go build -o "$smoke/pcstall-exp" ./cmd/pcstall-exp
 go build -o "$smoke/tracecheck" ./scripts/tracecheck
 smoke_flags="-cus 4 -scale 0.3 -apps comd,hpgmg -j 2"
@@ -102,6 +118,7 @@ smoke_flags="-cus 4 -scale 0.3 -apps comd,hpgmg -j 2"
 # nothing to flush).
 "$smoke/pcstall-exp" $smoke_flags -cache-dir "$smoke/kill" 1a > "$smoke/kill.out" 2> "$smoke/kill.err" &
 kill_pid=$!
+bg_pids="$bg_pids $kill_pid"
 sleep 1
 for _ in $(seq 1 300); do
 	[ -s "$smoke/kill/results.jsonl" ] && break
@@ -164,6 +181,7 @@ go build -o "$smoke/pcstall-serve" ./cmd/pcstall-serve
 "$smoke/pcstall-serve" -addr 127.0.0.1:0 -cus 4 -scale 0.3 -j 2 \
 	-cache-dir "$smoke/serve-cache" > "$smoke/serve.out" 2> "$smoke/serve.err" &
 serve_pid=$!
+bg_pids="$bg_pids $serve_pid"
 base=""
 for _ in $(seq 1 100); do
 	base=$(sed -n 's#^pcstall-serve: listening on \(http://.*\)$#\1#p' "$smoke/serve.out")
@@ -225,6 +243,7 @@ go build -o "$smoke/pcstall-load" ./cmd/pcstall-load
 "$smoke/pcstall-serve" -addr 127.0.0.1:0 -cus 4 -scale 0.3 -apps comd,hpgmg -j 2 \
 	-cache-dir "$smoke/load-cache" > "$smoke/loadsrv.out" 2> "$smoke/loadsrv.err" &
 loadsrv_pid=$!
+bg_pids="$bg_pids $loadsrv_pid"
 load_base=""
 for _ in $(seq 1 100); do
 	load_base=$(sed -n 's#^pcstall-serve: listening on \(http://.*\)$#\1#p' "$smoke/loadsrv.out")
@@ -262,6 +281,7 @@ start_backend() {
 	"$smoke/pcstall-serve" -addr 127.0.0.1:0 -cus 4 -scale 0.3 -j 2 "$@" \
 		> "$smoke/$bname.out" 2> "$smoke/$bname.err" &
 	backend_pid=$!
+	bg_pids="$bg_pids $backend_pid"
 	backend_base=""
 	for _ in $(seq 1 100); do
 		backend_base=$(sed -n 's#^pcstall-serve: listening on \(http://.*\)$#\1#p' "$smoke/$bname.out")
@@ -316,6 +336,7 @@ start_backend w4; w4_pid=$backend_pid; w4_base=$backend_base
 "$smoke/pcstall-exp" $smoke_flags -backends "$w3_base,$w4_base" -trace-out "$smoke/dist2.trace.json" \
 	-cache-dir "$smoke/dist2" 1a > "$smoke/dist2.out" 2> "$smoke/dist2.err" &
 dist_pid=$!
+bg_pids="$bg_pids $dist_pid"
 sleep 1
 kill_landed=0
 if kill -KILL "$w3_pid" 2>/dev/null; then
@@ -367,6 +388,7 @@ start_backend w6; w6_pid=$backend_pid; w6_base=$backend_base
 "$smoke/pcstall-netchaos" -listen 127.0.0.1:0 -target "$w5_base" \
 	-faults level=0.35,seed=42 > "$smoke/ncproxy.out" 2> "$smoke/ncproxy.err" &
 ncproxy_pid=$!
+bg_pids="$bg_pids $ncproxy_pid"
 nc_base=""
 for _ in $(seq 1 100); do
 	nc_base=$(sed -n 's#^pcstall-netchaos: listening on \(http://[^ ]*\) .*#\1#p' "$smoke/ncproxy.out")
