@@ -22,52 +22,98 @@ import (
 	"pcstall/internal/workload"
 )
 
+// jobRunner runs one job from its factories, as dvfs.RunJob does.
+type jobRunner func(build func() (*sim.GPU, error), newPol func() dvfs.Policy, rc dvfs.RunConfig) (dvfs.Result, error)
+
+// runFresh runs a job with dvfs.Run on the GPU build returns and leaves
+// the GPU to the garbage collector.
+func runFresh(build func() (*sim.GPU, error), newPol func() dvfs.Policy, rc dvfs.RunConfig) (dvfs.Result, error) {
+	g, err := build()
+	if err != nil {
+		return dvfs.Result{}, err
+	}
+	return dvfs.Run(g, newPol(), rc)
+}
+
+// goldenLine runs design on app at the golden platform (2 CUs, scale
+// 0.3, 1us epochs, EDP), with chaos level 0.2 seed 7 when withChaos, and
+// returns the run's epoch count and the digests of its Result JSON and
+// of its per-epoch trace events.
+func goldenLine(t *testing.T, run jobRunner, app, design string, withChaos bool) string {
+	t.Helper()
+	d, err := core.DesignByName(design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() (*sim.GPU, error) {
+		gen := workload.DefaultGenConfig(2)
+		gen.Scale = 0.3
+		a := workload.MustBuild(app, gen)
+		return sim.New(sim.DefaultConfig(2), a.Kernels, a.Launches)
+	}
+	pm := power.DefaultModelFor(2)
+	var events trace.Collector
+	rc := dvfs.RunConfig{Epoch: clock.Microsecond, Obj: dvfs.EDP, PM: &pm, Trace: &events}
+	if withChaos {
+		rc.Chaos = chaos.Level(0.2, 7)
+	}
+	res, err := run(build, d.New, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := json.Marshal(events.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("epochs=%d result=%s events=%s", res.Epochs, wire.Digest(rb), wire.Digest(eb))
+}
+
+const (
+	runResultsAbout   = "PCSTALL, EDP, 2 CUs, scale 0.3, 1us epochs, chaos level 0.2 seed 7 when on; result = digest of the Result JSON, events = digest of the JSON array of per-epoch trace events"
+	truthResultsAbout = "ORACLE/ACCREAC/ACCPC, EDP, 2 CUs, scale 0.3, 1us epochs, default oracle forks; result = digest of the Result JSON, events = digest of the JSON array of per-epoch trace events; identical under GOMAXPROCS 1 and 2"
+)
+
+// runResultsLines returns run_results.golden's data lines, calling
+// before (when non-nil) ahead of each job.
+func runResultsLines(t *testing.T, run jobRunner, before func()) []string {
+	var lines []string
+	for _, app := range []string{"comd", "xsbench"} {
+		for _, withChaos := range []bool{false, true} {
+			if before != nil {
+				before()
+			}
+			lines = append(lines, fmt.Sprintf("%s chaos=%v %s", app, withChaos, goldenLine(t, run, app, "PCSTALL", withChaos)))
+		}
+	}
+	return lines
+}
+
+// truthResultsLines returns truth_results.golden's data lines, calling
+// before (when non-nil) ahead of each job.
+func truthResultsLines(t *testing.T, run jobRunner, before func()) []string {
+	var lines []string
+	for _, app := range []string{"comd", "xsbench"} {
+		for _, design := range []string{"ORACLE", "ACCREAC", "ACCPC"} {
+			if before != nil {
+				before()
+			}
+			lines = append(lines, fmt.Sprintf("%s %s %s", app, design, goldenLine(t, run, app, design, false)))
+		}
+	}
+	return lines
+}
+
 // TestEventLoopMatchesLegacyFigures is the end-to-end half of the golden
 // gate for the event-driven RunUntil: a full DVFS run — policy
 // decisions, chaos fault injection, per-epoch events, energy/runtime
 // figures — must digest to the values recorded from the per-cycle loop
 // it replaced.
 func TestEventLoopMatchesLegacyFigures(t *testing.T) {
-	var lines []string
-	for _, app := range []string{"comd", "xsbench"} {
-		for _, withChaos := range []bool{false, true} {
-			cfg := sim.DefaultConfig(2)
-			gen := workload.DefaultGenConfig(2)
-			gen.Scale = 0.3
-			a := workload.MustBuild(app, gen)
-			g, err := sim.New(cfg, a.Kernels, a.Launches)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d, err := core.DesignByName("PCSTALL")
-			if err != nil {
-				t.Fatal(err)
-			}
-			pm := power.DefaultModelFor(2)
-			var events trace.Collector
-			rc := dvfs.RunConfig{Epoch: clock.Microsecond, Obj: dvfs.EDP, PM: &pm, Trace: &events}
-			if withChaos {
-				rc.Chaos = chaos.Level(0.2, 7)
-			}
-			res, err := dvfs.Run(g, d.New(), rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rb, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eb, err := json.Marshal(events.Events())
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines = append(lines, fmt.Sprintf("%s chaos=%v epochs=%d result=%s events=%s",
-				app, withChaos, res.Epochs, wire.Digest(rb), wire.Digest(eb)))
-		}
-	}
-	checkGolden(t, "run_results.golden",
-		"PCSTALL, EDP, 2 CUs, scale 0.3, 1us epochs, chaos level 0.2 seed 7 when on; result = digest of the Result JSON, events = digest of the JSON array of per-epoch trace events",
-		lines)
+	checkGolden(t, "run_results.golden", runResultsAbout, runResultsLines(t, runFresh, nil))
 }
 
 // TestTruthDesignsGolden pins the truth-consuming designs byte for byte:
@@ -80,43 +126,9 @@ func TestTruthDesignsGolden(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
-		var lines []string
-		for _, app := range []string{"comd", "xsbench"} {
-			for _, design := range []string{"ORACLE", "ACCREAC", "ACCPC"} {
-				cfg := sim.DefaultConfig(2)
-				gen := workload.DefaultGenConfig(2)
-				gen.Scale = 0.3
-				a := workload.MustBuild(app, gen)
-				g, err := sim.New(cfg, a.Kernels, a.Launches)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d, err := core.DesignByName(design)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pm := power.DefaultModelFor(2)
-				var events trace.Collector
-				res, err := dvfs.Run(g, d.New(), dvfs.RunConfig{Epoch: clock.Microsecond, Obj: dvfs.EDP, PM: &pm, Trace: &events})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rb, err := json.Marshal(res)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eb, err := json.Marshal(events.Events())
-				if err != nil {
-					t.Fatal(err)
-				}
-				lines = append(lines, fmt.Sprintf("%s %s epochs=%d result=%s events=%s",
-					app, design, res.Epochs, wire.Digest(rb), wire.Digest(eb)))
-			}
-		}
+		lines := truthResultsLines(t, runFresh, nil)
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
-			checkGolden(t, "truth_results.golden",
-				"ORACLE/ACCREAC/ACCPC, EDP, 2 CUs, scale 0.3, 1us epochs, default oracle forks; result = digest of the Result JSON, events = digest of the JSON array of per-epoch trace events; identical under GOMAXPROCS 1 and 2",
-				lines)
+			checkGolden(t, "truth_results.golden", truthResultsAbout, lines)
 		})
 	}
 }

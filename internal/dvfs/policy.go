@@ -41,6 +41,12 @@ type Context struct {
 	// read PC signatures through Context.ActivePCs (not G.ActivePCs) so
 	// signature corruption applies uniformly.
 	Chaos *chaos.Engine
+
+	// states and predE are chooseAll's per-run scratch: the grid's
+	// states and one domain's predicted energies, built on first use so
+	// steady-state epochs do not allocate.
+	states []clock.Freq
+	predE  []float64
 }
 
 // ActivePCs returns the PC signatures of domain d's resident wavefronts
@@ -86,9 +92,12 @@ type Policy interface {
 // barrier-synced compute phase whose waves each scale individually but
 // share issue slots); uncapped curves systematically over-buy frequency.
 func chooseAll(ctx *Context, obj Objective, pred [][]float64, choice []int) {
-	states := ctx.Grid.States()
 	k := ctx.Grid.Count()
-	predE := make([]float64, k)
+	if len(ctx.states) != k {
+		ctx.states = ctx.Grid.States()
+		ctx.predE = make([]float64, k)
+	}
+	states, predE := ctx.states, ctx.predE
 	cus := ctx.DMap.CUsPerDomain
 	simds := ctx.G.Cfg.SIMDsPerCU
 	for d := range choice {
@@ -228,6 +237,9 @@ type PCStall struct {
 
 	tables []*predict.PCTable
 	pcBuf  []sim.WavePC
+	// fallback maps (cu, slot) to the wavefront's latest elapsed-epoch
+	// estimate; Decide refills it every epoch, reusing its buckets.
+	fallback map[[2]int32]estimate.WFEstimate
 }
 
 // NewPCStall returns the paper-default configuration (per-CU 128-entry
@@ -298,11 +310,11 @@ func (p *PCStall) Decide(ctx *Context, elapsed *sim.EpochSample, obj Objective, 
 	// Update: store each wavefront's elapsed-epoch estimate under its
 	// starting PC, and remember the latest estimate per (cu, slot) as
 	// the miss fallback.
-	type slotEst struct {
-		est   estimate.WFEstimate
-		valid bool
+	if p.fallback == nil {
+		p.fallback = make(map[[2]int32]estimate.WFEstimate)
 	}
-	fallback := make(map[[2]int32]slotEst)
+	fallback := p.fallback
+	clear(fallback)
 	if elapsed != nil {
 		dur := int64(elapsed.End - elapsed.Start)
 		for cu := range elapsed.CUs {
@@ -321,7 +333,7 @@ func (p *PCStall) Decide(ctx *Context, elapsed *sim.EpochSample, obj Objective, 
 					tbl.Update(rec.StartPC, e)
 				}
 				if !rec.Done {
-					fallback[[2]int32{int32(cu), rec.Slot}] = slotEst{est: e, valid: true}
+					fallback[[2]int32{int32(cu), rec.Slot}] = e
 				}
 			}
 		}
@@ -345,7 +357,7 @@ func (p *PCStall) Decide(ctx *Context, elapsed *sim.EpochSample, obj Objective, 
 				if !has {
 					continue
 				}
-				e = fe.est
+				e = fe
 			}
 			for s := range pred[d] {
 				pred[d][s] += e.Eval(grid.State(s), fRef)

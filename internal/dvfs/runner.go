@@ -100,6 +100,11 @@ type Result struct {
 // be described by pure factories and executed on any worker goroutine
 // without the caller pre-building (and accidentally sharing) mutable
 // simulator or policy state across jobs.
+//
+// RunJob owns the GPU build returns: once the run ends — with a result,
+// an error, a cancellation or a stuck simulator — it Releases the GPU,
+// so its cache tag arrays go back to the pools the next job's sim.New
+// draws from. build must therefore return a GPU nobody else uses.
 func RunJob(build func() (*sim.GPU, error), newPol func() Policy, cfg RunConfig) (Result, error) {
 	if cfg.Ctx != nil {
 		if err := cfg.Ctx.Err(); err != nil {
@@ -110,6 +115,7 @@ func RunJob(build func() (*sim.GPU, error), newPol func() Policy, cfg RunConfig)
 	if err != nil {
 		return Result{}, fmt.Errorf("dvfs: building GPU: %w", err)
 	}
+	defer g.Release()
 	return Run(g, newPol(), cfg)
 }
 

@@ -51,8 +51,7 @@ func (s *Suite) prefetchBase(apps []string) {
 // ratios) off the policy afterwards, so the run cannot be keyed by a
 // design name or shared.
 func (s *Suite) runCustom(_, app string, pol func() dvfs.Policy) *dvfs.Result {
-	g := s.gpu(app, 1)
-	res, err := dvfs.Run(g, pol(), dvfs.RunConfig{
+	res, err := dvfs.RunJob(s.gpuJob(app), pol, dvfs.RunConfig{
 		Epoch:   clock.Microsecond,
 		Obj:     dvfs.ED2P,
 		PM:      &s.PM,
@@ -326,8 +325,7 @@ func (s *Suite) AblEpochMode() *Table {
 		if window < 1 {
 			window = 1
 		}
-		g := s.gpu(app, 1)
-		instrRun, err := dvfs.Run(g, d.New(), dvfs.RunConfig{
+		instrRun, err := dvfs.RunJob(s.gpuJob(app), d.New, dvfs.RunConfig{
 			Epoch:       clock.Microsecond,
 			Obj:         dvfs.ED2P,
 			PM:          &s.PM,

@@ -6,6 +6,7 @@ import (
 
 	"pcstall/internal/clock"
 	"pcstall/internal/metrics"
+	"pcstall/internal/sim"
 )
 
 // characterization epochs used throughout §3 of the paper.
@@ -30,7 +31,7 @@ func (s *Suite) Figure5() *Table {
 		Title:  "Instructions committed vs frequency (comd, sampled 1us epochs)",
 		Header: []string{"epoch"},
 	}
-	grid := s.gpu("comd", 1).Cfg.Grid
+	grid := sim.DefaultConfig(s.Cfg.CUs).Grid
 	for _, f := range grid.States() {
 		t.Header = append(t.Header, f.String())
 	}

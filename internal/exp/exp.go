@@ -283,8 +283,10 @@ func (s *Suite) WriteManifest(path string) error { return s.orch.WriteManifest(p
 // (run / disk / remote:<backend> / local-fallback).
 func (s *Suite) Manifest() *orchestrate.Manifest { return s.orch.Manifest() }
 
-func (s *Suite) gpu(app string, cusPerDomain int) *sim.GPU {
-	return s.gpuScaled(app, cusPerDomain, s.Cfg.Scale)
+// gpuJob returns a dvfs.RunJob build factory for app on the Suite's
+// platform at one CU per domain.
+func (s *Suite) gpuJob(app string) func() (*sim.GPU, error) {
+	return func() (*sim.GPU, error) { return s.gpuScaled(app, 1, s.Cfg.Scale), nil }
 }
 
 // gpuScaled builds a GPU with an explicit workload duration scale
@@ -545,6 +547,9 @@ func (s *Suite) trace(app string, epoch clock.Time, nEpochs int, withWF bool) *t
 		}
 	}
 	g := s.gpuScaled(app, 1, scale)
+	// The loop drives the GPU directly rather than through dvfs.RunJob,
+	// so it hands the GPU's cache arrays back to the pools itself.
+	defer g.Release()
 	grid := g.Cfg.Grid
 	smp := &oracle.Sampler{Grid: grid, PM: &s.PM}
 	tr := &trace{epoch: epoch}

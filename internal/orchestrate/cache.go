@@ -3,6 +3,7 @@ package orchestrate
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -52,8 +53,9 @@ const ResultsFile = "results.jsonl"
 
 // OpenCache opens (creating if needed) the cache under dir and loads any
 // existing results. Corrupt lines (a previously killed process) are
-// skipped, not fatal; a corrupt tail that breaks the scanner itself
-// triggers an in-place repair that keeps every entry loaded so far.
+// skipped, not fatal; a corrupt tail that breaks the scanner itself, or
+// a final line without its newline, triggers an in-place repair that
+// keeps every entry loaded so far.
 func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("orchestrate: creating cache dir: %w", err)
@@ -71,12 +73,19 @@ func OpenCache(dir string) (*Cache, error) {
 			c.mem[e.Key] = e
 		}
 		scanErr := sc.Err()
+		if scanErr == nil && !endsInNewline(f) {
+			// A final line without its newline is a torn append. Left in
+			// place, the next Put would append onto it and the merged
+			// line would lose the new entry on the next load.
+			scanErr = errors.New("unterminated final line")
+		}
 		f.Close()
 		if scanErr != nil {
 			// A scanner error (most likely a torn final line longer than
-			// the buffer) means the tail is unreadable, not that the cache
-			// is lost: keep what loaded and rewrite the file from it so
-			// the directory is healthy again for this and future runs.
+			// the buffer) or a torn final line means the tail is
+			// unreadable, not that the cache is lost: keep what loaded and
+			// rewrite the file from it so the directory is healthy again
+			// for this and future runs.
 			if rerr := c.repair(path); rerr != nil {
 				return nil, fmt.Errorf("orchestrate: repairing %s after corrupt tail (%v): %w", path, scanErr, rerr)
 			}
@@ -92,6 +101,17 @@ func OpenCache(dir string) (*Cache, error) {
 	c.file = f
 	c.enc = json.NewEncoder(f)
 	return c, nil
+}
+
+// endsInNewline reports whether f is empty or its last byte is a newline.
+func endsInNewline(f *os.File) bool {
+	fi, err := f.Stat()
+	if err != nil || fi.Size() == 0 {
+		return true
+	}
+	var last [1]byte
+	_, err = f.ReadAt(last[:], fi.Size()-1)
+	return err != nil || last[0] == '\n'
 }
 
 // repair atomically rewrites the results file from the loaded entries

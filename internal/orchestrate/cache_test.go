@@ -3,9 +3,11 @@ package orchestrate
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"pcstall/internal/dvfs"
@@ -255,4 +257,133 @@ func TestOrchestratorSurvivesCachePutFailure(t *testing.T) {
 		t.Fatal("persistence failure mis-counted as a job error")
 	}
 	o.Close() // closing the sabotaged handle may error; the campaign is already safe
+}
+
+// loadCacheFile writes data as dir's results file and opens the cache.
+func loadCacheFile(t *testing.T, dir string, data []byte) *Cache {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ResultsFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatalf("OpenCache on %q: %v", data, err)
+	}
+	return c
+}
+
+// encodeEntries renders entries as a results file, one line each in key
+// order, exactly as Put writes them.
+func encodeEntries(t *testing.T, entries map[string]cacheEntry) []byte {
+	t.Helper()
+	keys := make([]string, 0, len(entries))
+	for k := range entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, k := range keys {
+		if err := enc.Encode(entries[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// FuzzCacheFile feeds arbitrary results-file contents to OpenCache, the
+// decoder of the on-disk result cache. Three properties hold for any
+// input and any cut point:
+//   - every line the decoder accepts re-encodes and reloads to an equal
+//     entry;
+//   - the file OpenCache leaves behind is healthy: reopening it loads the
+//     same entries without a repair;
+//   - a file of valid lines cut at any byte opens, repaired if the cut
+//     tore a line, with every whole line before the cut, and a result
+//     Put afterwards survives the next open.
+func FuzzCacheFile(f *testing.F) {
+	var valid bytes.Buffer
+	enc := json.NewEncoder(&valid)
+	for i := 1; i <= 2; i++ {
+		j := testJob(i)
+		r := &dvfs.Result{Policy: "PCSTALL", Objective: "ED2P", Epochs: i, Residency: []float64{0.5, 0.5},
+			Totals: metrics.RunTotals{EnergyJ: 1.5e-3, TimeS: 3.3e-5, Committed: 99}}
+		if err := enc.Encode(cacheEntry{Key: j.Key(), Job: j, Result: r}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(valid.Bytes(), uint(0))
+	f.Add(valid.Bytes(), uint(valid.Len()/2))
+	f.Add(valid.Bytes(), uint(valid.Len()-1))
+	f.Add([]byte(`{"key":"k","job":{"app":"comd"},"result":{"Policy":"X","Residency":[]}}`), uint(7))
+	f.Add([]byte(`{"KEY":"k","result":{"Epochs":-3,"Residency":null,"Records":null}}`+"\n"+`{"key":"deadbeef","job":{"app":"tru`), uint(40))
+	f.Add([]byte("\n\n{}\nnot json\n"), uint(3))
+	// Inputs run one at a time per process, so three directories serve
+	// them all; each load overwrites the results file it reads.
+	root := f.TempDir()
+	dirIn, dirAgain, dirTorn := filepath.Join(root, "in"), filepath.Join(root, "again"), filepath.Join(root, "torn")
+	f.Fuzz(func(t *testing.T, data []byte, cut uint) {
+		c := loadCacheFile(t, dirIn, data)
+		c.Close()
+		accepted := c.mem
+
+		// Accepted entries re-encode and reload to equal entries.
+		again := loadCacheFile(t, dirAgain, encodeEntries(t, accepted))
+		again.Close()
+		if again.Repaired() || !reflect.DeepEqual(again.mem, accepted) {
+			t.Fatalf("accepted entries did not round-trip:\n got %+v\nwant %+v", again.mem, accepted)
+		}
+
+		// Cut a file of valid lines (the accepted entries plus two fixed
+		// ones) at any byte.
+		base := map[string]cacheEntry{}
+		for i := 1; i <= 2; i++ {
+			j := testJob(i)
+			base[j.Key()] = cacheEntry{Key: j.Key(), Job: j, Result: &dvfs.Result{Policy: "X", Epochs: i}}
+		}
+		for k, e := range accepted {
+			base[k] = e
+		}
+		file := encodeEntries(t, base)
+		n := int(cut % uint(len(file)+1))
+		torn := loadCacheFile(t, dirTorn, file[:n])
+		whole := file[:bytes.LastIndexByte(file[:n], '\n')+1]
+		for _, line := range bytes.Split(whole, []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			var e cacheEntry
+			if err := json.Unmarshal(line, &e); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := torn.mem[e.Key]; !ok || !reflect.DeepEqual(got, base[e.Key]) {
+				t.Fatalf("cut at %d/%d lost whole line %s", n, len(file), line)
+			}
+		}
+		for k, e := range torn.mem {
+			if !reflect.DeepEqual(e, base[k]) {
+				t.Fatalf("cut at %d/%d loaded %+v, not in the file", n, len(file), e)
+			}
+		}
+		if torn.Repaired() != (n > len(whole)) {
+			t.Fatalf("cut at %d/%d (whole lines end at %d): repaired=%v", n, len(file), len(whole), torn.Repaired())
+		}
+		sentinel := testJob(99)
+		if err := torn.Put(sentinel.Key(), sentinel, &dvfs.Result{Policy: "S"}); err != nil {
+			t.Fatal(err)
+		}
+		want := torn.mem
+		torn.Close()
+		reopened, err := OpenCache(dirTorn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reopened.Close()
+		if reopened.Repaired() || !reflect.DeepEqual(reopened.mem, want) {
+			t.Fatalf("cut at %d/%d: the file left after repair and one Put reloads as %+v, want %+v", n, len(file), reopened.mem, want)
+		}
+	})
 }

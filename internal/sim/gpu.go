@@ -656,8 +656,12 @@ func reuse[T any](dst, src []T) []T {
 	return append(dst[:0], src...)
 }
 
-// Release drops the GPU's copy-on-write share of cache tag state. The GPU
-// must not be used afterwards, except as the destination of a CloneInto.
+// Release drops the GPU's copy-on-write share of cache tag state; an
+// array no other GPU still shares goes back to its geometry's pool, which
+// parents and forks draw from alike. The GPU's owner calls it when the
+// GPU is done: dvfs.RunJob for a job's parent GPU once the run returns,
+// the oracle for a fork after each sample. The GPU must not be used
+// afterwards, except as the destination of a CloneInto.
 func (g *GPU) Release() {
 	for i := range g.CUs {
 		g.CUs[i].L1.Release()

@@ -190,11 +190,7 @@ func RunDesign(app string, d Design, cfg Config) (Result, error) {
 		pm := power.DefaultModelFor(cfg.GPU.NumCUs)
 		cfg.Power = &pm
 	}
-	g, err := NewGPU(app, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return dvfs.Run(g, d.New(), dvfs.RunConfig{
+	return dvfs.RunJob(func() (*sim.GPU, error) { return NewGPU(app, cfg) }, d.New, dvfs.RunConfig{
 		Epoch:     cfg.Epoch,
 		Obj:       cfg.Objective,
 		PM:        cfg.Power,

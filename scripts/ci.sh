@@ -60,6 +60,40 @@ else
 	exit 1
 fi
 
+echo "==> alloc gate (steady-state dvfs.Run epochs must not allocate)"
+# A dvfs.Run epoch adds the policy decision and power accounting to the
+# sim hot path above; for the no-truth designs STATIC-1700, CRISP and
+# PCSTALL it is tuned to zero steady-state allocations (objective scratch
+# on the run's Context, PCSTALL's reused fallback map). Each op is one
+# epoch after a 32-epoch warm-up; at 3000x a run's rare late buffer
+# growth rounds to 0 allocs/op, while a per-epoch allocation reads >= 1.
+epoch_out=$(go test -run '^$' -bench 'BenchmarkRunEpoch' -benchtime 3000x ./internal/dvfs/)
+echo "$epoch_out" | grep allocs/op || true
+if echo "$epoch_out" | awk '
+	/allocs\/op/ { n++; if ($(NF-1) + 0 > 0) bad = 1 }
+	END { exit (bad || n != 3) }'; then
+	:
+else
+	echo "alloc gate: a steady-state dvfs.Run epoch allocates (want 0 allocs/op for all 3 designs)" >&2
+	exit 1
+fi
+
+echo "==> alloc gate (a finished job's GPU goes back to the pools)"
+# dvfs.RunJob releases the GPU it built, so the next job's cache tag
+# arrays come from the pools instead of fresh memory. A fleet-sized
+# PCSTALL job (2 CUs, scale 0.5) reads about 200 KB/op with the release
+# and about 790 KB/op without it; the gate fails above 320 KB/op.
+job_out=$(go test -run '^$' -bench '^BenchmarkRunJob$' -benchmem -benchtime 64x ./internal/dvfs/)
+echo "$job_out" | grep B/op || true
+if echo "$job_out" | awk '
+	/B\/op/ { n++; for (i = 2; i <= NF; i++) if ($i == "B/op" && $(i-1) + 0 > 320000) bad = 1 }
+	END { exit (bad || n == 0) }'; then
+	:
+else
+	echo "alloc gate: a dvfs.RunJob job allocates more than 320 KB/op (or did not run)" >&2
+	exit 1
+fi
+
 echo "==> alloc gate (oracle SampleNext recycles its forks)"
 # Each Sampler re-clones into one recycled fork per worker
 # (sim.GPU.CloneInto), so a sampling sweep allocates little beyond the
@@ -76,7 +110,7 @@ else
 	exit 1
 fi
 
-echo "==> fuzz smoke (program builder, config validator, chaos and netchaos spec round-trips, /v1/sim config merge)"
+echo "==> fuzz smoke (program builder, config validator, chaos and netchaos spec round-trips, /v1/sim config merge, result-cache file)"
 # Short deterministic-budget fuzz passes; CI catches crashes and invariant
 # violations, the long exploratory runs stay manual.
 go test -run '^$' -fuzz '^FuzzProgramBuilder$' -fuzztime 15s ./internal/isa
@@ -84,6 +118,7 @@ go test -run '^$' -fuzz '^FuzzConfigValidate$' -fuzztime 15s ./internal/sim
 go test -run '^$' -fuzz '^FuzzChaosSpec$' -fuzztime 10s ./internal/chaos
 go test -run '^$' -fuzz '^FuzzNetchaosSpec$' -fuzztime 10s ./internal/netchaos
 go test -run '^$' -fuzz '^FuzzSimRequest$' -fuzztime 10s ./internal/serve
+go test -run '^$' -fuzz '^FuzzCacheFile$' -fuzztime 10s ./internal/orchestrate
 
 echo "==> kill-resume smoke (SIGINT mid-campaign, -resume, byte-identical output)"
 # A campaign killed mid-flight must drain gracefully (completed results
