@@ -92,7 +92,7 @@ type Dispatcher struct {
 	cfg       Config
 	ctx       context.Context
 	cancel    context.CancelFunc
-	tele      *distTelemetry
+	tele      distTelemetry
 	log       *slog.Logger
 	localSem  chan struct{}
 	maxWindow int
@@ -184,7 +184,7 @@ func New(cfg Config) (*Dispatcher, error) {
 	if len(d.backends) == 0 {
 		return nil, fmt.Errorf("dist: no usable backend URLs in %v", cfg.Backends)
 	}
-	d.tele.setHealthy(len(d.backends))
+	d.tele.healthy.Set(float64(len(d.backends)))
 	return d, nil
 }
 
@@ -290,11 +290,10 @@ func (d *Dispatcher) Run(ctx context.Context, j orchestrate.Job, reg *telemetry.
 		if useINM && dispatches > 1 && d.cached != nil {
 			_, have = d.cached(key)
 		}
-		span := telemetry.StartSpan(d.tele.remoteHist())
 		start := time.Now()
 		res, notMod, rerr := b.client.Sim(ctx, j, have)
 		lat := time.Since(start)
-		span.End()
+		d.tele.remote.Observe(lat.Seconds())
 		if rerr == nil {
 			d.release(b, lat, true)
 			if notMod {
@@ -310,7 +309,7 @@ func (d *Dispatcher) Run(ctx context.Context, j orchestrate.Job, reg *telemetry.
 				useINM = false
 				continue
 			}
-			d.tele.dispatched(b)
+			d.tele.perBackend(b, "dispatched", "jobs settled")
 			orchestrate.SetJobSource(ctx, "remote:"+b.url)
 			return res, nil
 		}
@@ -373,7 +372,7 @@ func (d *Dispatcher) runLocal(ctx context.Context, j orchestrate.Job, reg *telem
 	if d.local == nil {
 		return nil, fmt.Errorf("dist: no healthy backends and no local executor bound")
 	}
-	d.tele.fallback()
+	d.tele.fallbacks.Inc()
 	if d.log != nil {
 		d.log.Debug("running job on local fallback lane",
 			"job", j.String(), "trace_id", tracing.TraceIDFrom(ctx))

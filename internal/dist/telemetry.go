@@ -27,13 +27,10 @@ type distTelemetry struct {
 	remote *telemetry.Histogram
 }
 
-// newDistTelemetry builds the bundle on r (nil r yields nil, making
-// every record a nil check).
-func newDistTelemetry(r *telemetry.Registry) *distTelemetry {
-	if r == nil {
-		return nil
-	}
-	return &distTelemetry{
+// newDistTelemetry builds the bundle on r; a nil r leaves every handle
+// nil, so each record is a no-op.
+func newDistTelemetry(r *telemetry.Registry) distTelemetry {
+	return distTelemetry{
 		reg:       r,
 		stolen:    r.Counter("dist_jobs_stolen_total", "jobs re-dispatched to a peer after their first backend failed, shed, or drained"),
 		requeues:  r.Counter("dist_jobs_requeued_total", "dispatch attempts returned to the queue by a backend fault or shed"),
@@ -61,9 +58,10 @@ func metricName(url string) string {
 	}, url)
 }
 
-// perBackend counts one event on a backend-labeled counter.
+// perBackend counts one event on a backend-labeled counter. Only a live
+// registry formats the per-backend name.
 func (t *distTelemetry) perBackend(b *backend, event, help string) {
-	if t == nil {
+	if t.reg == nil {
 		return
 	}
 	t.reg.Counter(
@@ -72,104 +70,50 @@ func (t *distTelemetry) perBackend(b *backend, event, help string) {
 	).Inc()
 }
 
-// remoteHist returns the remote job latency histogram (nil when
-// telemetry is disabled).
-func (t *distTelemetry) remoteHist() *telemetry.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.remote
-}
-
-// setHealthy records the in-rotation backend count.
-func (t *distTelemetry) setHealthy(n int) {
-	if t == nil {
-		return
-	}
-	t.healthy.Set(float64(n))
-}
-
-// dispatched counts one job settled on a backend.
-func (t *distTelemetry) dispatched(b *backend) {
-	t.perBackend(b, "dispatched", "jobs settled")
-}
-
 // stole counts a job re-dispatched to this backend after a peer lost it.
 func (t *distTelemetry) stole(b *backend) {
-	if t == nil {
-		return
-	}
 	t.stolen.Inc()
 	t.perBackend(b, "stolen", "jobs stolen from a failed or shedding peer")
 }
 
 // requeued counts a dispatch attempt returned to the queue.
 func (t *distTelemetry) requeued(b *backend) {
-	if t == nil {
-		return
-	}
 	t.requeues.Inc()
 	t.perBackend(b, "errors", "dispatch attempts that failed")
 }
 
 // quarantined counts a backend leaving rotation on a fault.
 func (t *distTelemetry) quarantined(b *backend, healthy int) {
-	if t == nil {
-		return
-	}
 	t.perBackend(b, "quarantines", "times taken out of rotation by a fault")
 	t.healthy.Set(float64(healthy))
 }
 
 // droppedBackend counts a backend removed permanently (version/key skew).
 func (t *distTelemetry) droppedBackend(b *backend, healthy int) {
-	if t == nil {
-		return
-	}
 	t.perBackend(b, "dropped", "permanent removals for version or key skew")
 	t.healthy.Set(float64(healthy))
 }
 
 // healed counts a quarantined backend re-entering rotation.
 func (t *distTelemetry) healed(b *backend, healthy int) {
-	if t == nil {
-		return
-	}
 	t.perBackend(b, "heals", "probe-confirmed returns to rotation")
 	t.healthy.Set(float64(healthy))
 }
 
 // integrityFault counts a reply rejected by digest verification.
 func (t *distTelemetry) integrityFault(b *backend) {
-	if t == nil {
-		return
-	}
 	t.integrity.Inc()
 	t.perBackend(b, "integrity_faults", "settled replies rejected by digest verification")
 }
 
 // timeoutFault counts a dispatch attempt ended by a transport deadline.
 func (t *distTelemetry) timeoutFault(b *backend) {
-	if t == nil {
-		return
-	}
 	t.timeouts.Inc()
 	t.perBackend(b, "timeout_faults", "dispatch attempts cut off by a transport deadline")
 }
 
-// fallback counts one job routed to the local lane.
-func (t *distTelemetry) fallback() {
-	if t == nil {
-		return
-	}
-	t.fallbacks.Inc()
-}
-
 // etag counts a re-dispatch resolved 304 against the local cache.
 func (t *distTelemetry) etag(b *backend) {
-	if t == nil {
-		return
-	}
 	t.etagHits.Inc()
 	t.perBackend(b, "etag_hits", "re-dispatches answered 304")
 }

@@ -311,7 +311,7 @@ type Engine struct {
 	n   int64
 	st  Stats
 
-	tele *netchaosTelemetry
+	tele netchaosTelemetry
 }
 
 // NewEngine builds an engine for cfg. Call cfg.Validate first; NewEngine
@@ -345,7 +345,7 @@ func (e *Engine) Stats() Stats {
 // Publish mirrors the engine's counters onto a telemetry registry as
 // netchaos_* metrics. Call once, before traffic.
 func (e *Engine) Publish(r *telemetry.Registry) {
-	if e == nil || r == nil {
+	if e == nil {
 		return
 	}
 	e.mu.Lock()
@@ -414,7 +414,7 @@ func (e *Engine) Plan() Plan {
 // recordLocked folds one plan into stats and telemetry; callers hold mu.
 func (e *Engine) recordLocked(p Plan) {
 	e.st.Exchanges++
-	e.tele.exchange()
+	e.tele.exchanges.Inc()
 	if p.DialDelay > 0 {
 		e.st.DialDelays++
 		e.st.DelayTotal += p.DialDelay
@@ -447,34 +447,29 @@ func (e *Engine) recordLocked(p Plan) {
 	e.tele.fault(p.Class)
 }
 
-// netchaosTelemetry mirrors engine stats onto a registry, nil-safe like
-// the other metric bundles.
+// netchaosTelemetry mirrors engine stats onto a registry. The zero value
+// (no registry published) records nothing.
 type netchaosTelemetry struct {
 	reg       *telemetry.Registry
 	exchanges *telemetry.Counter
 	faults    *telemetry.Counter
 }
 
-func newNetchaosTelemetry(r *telemetry.Registry) *netchaosTelemetry {
-	return &netchaosTelemetry{
+func newNetchaosTelemetry(r *telemetry.Registry) netchaosTelemetry {
+	return netchaosTelemetry{
 		reg:       r,
 		exchanges: r.Counter("netchaos_exchanges_total", "faultable /v1/sim exchanges seen by the netchaos engine"),
 		faults:    r.Counter("netchaos_faults_total", "exchanges that carried an injected terminal fault"),
 	}
 }
 
-func (t *netchaosTelemetry) exchange() {
-	if t == nil {
-		return
-	}
-	t.exchanges.Inc()
-}
-
+// fault counts one injected fault; only a live registry formats the
+// per-class name.
 func (t *netchaosTelemetry) fault(c Class) {
-	if t == nil {
+	t.faults.Inc()
+	if t.reg == nil {
 		return
 	}
-	t.faults.Inc()
 	t.reg.Counter("netchaos_fault_"+string(c)+"_total",
 		"exchanges faulted with class "+string(c)).Inc()
 }

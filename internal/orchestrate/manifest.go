@@ -105,7 +105,7 @@ func (o *Orchestrator) Manifest() *Manifest {
 		Jobs:        append([]ManifestEntry(nil), o.entries...),
 	}
 	sort.Slice(m.Jobs, func(a, b int) bool { return m.Jobs[a].Key < m.Jobs[b].Key })
-	if o.tele != nil {
+	if o.tele.reg != nil {
 		snap := o.tele.reg.Snapshot()
 		m.Metrics = &snap
 	}

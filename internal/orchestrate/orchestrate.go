@@ -82,10 +82,10 @@ type Config struct {
 	Progress      func(Stats)
 	ProgressEvery time.Duration
 	// Metrics, when non-nil, turns on campaign telemetry: live pool
-	// counters/gauges and phase spans are recorded here, each executed
-	// job gets a private child registry whose snapshot is merged in on
-	// settle and attached to the job's manifest entry. Nil disables all
-	// of it (jobs then run with a nil registry).
+	// counters/gauges and phase histograms are recorded here, each
+	// executed job gets a private child registry whose snapshot is
+	// merged in on settle and attached to the job's manifest entry. Nil
+	// disables all of it (jobs then run with a nil registry).
 	Metrics *telemetry.Registry
 	// Log, when non-nil, receives structured job-lifecycle records
 	// (settles, retries, failures) correlated by trace ID. Nil disables
@@ -143,7 +143,7 @@ type Orchestrator struct {
 	cache        *Cache
 	sem          chan struct{}
 	created      time.Time
-	tele         *orchTelemetry
+	tele         orchTelemetry
 	log          *slog.Logger
 	jobTimeout   time.Duration
 	retries      int
@@ -202,7 +202,7 @@ func New(cfg Config) (*Orchestrator, error) {
 			return nil, err
 		}
 		o.cache = c
-		if c.Repaired() && o.tele != nil {
+		if c.Repaired() {
 			o.tele.cacheRepairs.Inc()
 		}
 	}
@@ -426,9 +426,7 @@ func (o *Orchestrator) submit(ctx context.Context, j Job) *future {
 	if f, ok := o.memo[key]; ok {
 		o.memHits++
 		o.mu.Unlock()
-		if o.tele != nil {
-			o.tele.memHits.Inc()
-		}
+		o.tele.memHits.Inc()
 		return f
 	}
 	f := &future{done: make(chan struct{})}
@@ -456,9 +454,7 @@ func (o *Orchestrator) settleCancelled(key string, f *future, err error, wasRunn
 	o.cancelled++
 	o.updateGauges()
 	o.mu.Unlock()
-	if o.tele != nil {
-		o.tele.cancellations.Inc()
-	}
+	o.tele.cancellations.Inc()
 }
 
 // exec settles one future: disk-cache lookup, else a pooled run.
@@ -473,13 +469,14 @@ func (o *Orchestrator) exec(ctx context.Context, j Job, key string, f *future) {
 		tracing.String("job.key", key),
 		tracing.String("app", j.App),
 		tracing.String("design", j.Design))
+	// Adjacent phases share their boundary clock readings: the cache
+	// lookup's end starts the queue wait, whose end starts the job.
+	mark := time.Now()
 	if o.cache != nil {
-		var getSpan telemetry.Span
-		if o.tele != nil {
-			getSpan = telemetry.StartSpan(o.tele.cacheGet)
-		}
 		r, ok := o.cache.Get(key)
-		getSpan.End()
+		now := time.Now()
+		o.tele.cacheGet.Observe(now.Sub(mark).Seconds())
+		mark = now
 		if ok {
 			f.res = r
 			jobSpan.SetAttr("source", "disk")
@@ -492,29 +489,24 @@ func (o *Orchestrator) exec(ctx context.Context, j Job, key string, f *future) {
 			})
 			o.updateGauges()
 			o.mu.Unlock()
-			if o.tele != nil {
-				o.tele.diskHits.Inc()
-				o.tele.jobsCompleted.Inc()
-			}
+			o.tele.diskHits.Inc()
+			o.tele.jobsCompleted.Inc()
 			return
 		}
-	}
-	var queueSpan telemetry.Span
-	if o.tele != nil {
-		queueSpan = telemetry.StartSpan(o.tele.queueWait)
 	}
 	// Acquire a worker slot — or give up if the campaign is cancelled
 	// while this job is still queued.
 	select {
 	case o.sem <- struct{}{}:
 	case <-ctx.Done():
-		queueSpan.End()
+		o.tele.queueWait.Observe(time.Since(mark).Seconds())
 		jobSpan.SetAttr("cancelled", "queued")
 		jobSpan.End()
 		o.settleCancelled(key, f, ctx.Err(), false)
 		return
 	}
-	queueSpan.End()
+	start := time.Now()
+	o.tele.queueWait.Observe(start.Sub(mark).Seconds())
 	jobSpan.Event("slot.acquired")
 	// The slot is released via defer so that no path out of the attempt
 	// loop — error, cancellation, or a recovered panic — can shrink the
@@ -530,15 +522,15 @@ func (o *Orchestrator) exec(ctx context.Context, j Job, key string, f *future) {
 	// never confound each other's snapshots; the snapshot is merged into
 	// the campaign registry once the job settles.
 	var jobReg *telemetry.Registry
-	if o.tele != nil {
+	if o.tele.reg != nil {
 		jobReg = telemetry.New()
 	}
 	// The source holder lets a dispatching RunFunc report where the
 	// result actually came from (SetJobSource); unset means "run".
 	src := &jobSource{}
-	start := time.Now()
 	r, err := o.runAttempts(context.WithValue(ctx, jobSourceKey{}, src), j, jobReg)
-	dur := time.Since(start)
+	end := time.Now()
+	dur := end.Sub(start)
 	if err != nil && isCancellation(err) && ctx.Err() != nil {
 		// Cancelled out from under the job (fail-fast or interrupt), not
 		// a failure of the job itself.
@@ -548,19 +540,13 @@ func (o *Orchestrator) exec(ctx context.Context, j Job, key string, f *future) {
 		return
 	}
 	if err == nil && o.cache != nil {
-		var putSpan telemetry.Span
-		if o.tele != nil {
-			putSpan = telemetry.StartSpan(o.tele.cachePut)
-		}
 		if perr := o.cache.Put(key, j, r); perr != nil {
 			// Persistence is best-effort: the computed result stands, the
 			// failure is counted, and the cache has disabled further disk
 			// writes for this run (the in-memory layer stays warm).
-			if o.tele != nil {
-				o.tele.cacheWriteFails.Inc()
-			}
+			o.tele.cacheWriteFails.Inc()
 		}
-		putSpan.End()
+		o.tele.cachePut.Observe(time.Since(end).Seconds())
 	}
 	f.res, f.err = r, err
 	entry := ManifestEntry{
@@ -581,7 +567,7 @@ func (o *Orchestrator) exec(ctx context.Context, j Job, key string, f *future) {
 	jobSpan.SetAttr("source", entry.Source)
 	jobSpan.End()
 	o.logJob(entry, err)
-	if o.tele != nil {
+	if o.tele.reg != nil {
 		snap := jobReg.Snapshot()
 		o.tele.reg.Merge(snap)
 		entry.Metrics = &snap
@@ -641,9 +627,7 @@ func (o *Orchestrator) runAttempts(ctx context.Context, j Job, reg *telemetry.Re
 			o.mu.Lock()
 			o.panicked++
 			o.mu.Unlock()
-			if o.tele != nil {
-				o.tele.panics.Inc()
-			}
+			o.tele.panics.Inc()
 			return nil, err
 		}
 		if isCancellation(err) && ctx.Err() != nil {
@@ -658,9 +642,7 @@ func (o *Orchestrator) runAttempts(ctx context.Context, j Job, reg *telemetry.Re
 		o.mu.Lock()
 		o.retried++
 		o.mu.Unlock()
-		if o.tele != nil {
-			o.tele.retries.Inc()
-		}
+		o.tele.retries.Inc()
 		tracing.FromContext(ctx).Event("retry",
 			tracing.Int("attempt", int64(attempt+1)),
 			tracing.String("error", err.Error()))
@@ -705,13 +687,10 @@ func (o *Orchestrator) runOnce(ctx context.Context, j Job, reg *telemetry.Regist
 		r, err := o.run(actx, j, reg)
 		ch <- outcome{r, err}
 	}()
-	var runSpan telemetry.Span
-	if o.tele != nil {
-		runSpan = telemetry.StartSpan(o.tele.runPhase)
-	}
+	start := time.Now()
 	select {
 	case out := <-ch:
-		runSpan.End()
+		o.tele.runPhase.Observe(time.Since(start).Seconds())
 		// A cooperative RunFunc surfaces the attempt deadline itself;
 		// normalize it to the same shape as the abandoned-attempt path.
 		if out.err != nil && errors.Is(out.err, context.DeadlineExceeded) && actx.Err() != nil && ctx.Err() == nil {
@@ -719,7 +698,7 @@ func (o *Orchestrator) runOnce(ctx context.Context, j Job, reg *telemetry.Regist
 		}
 		return out.r, out.err
 	case <-actx.Done():
-		runSpan.End()
+		o.tele.runPhase.Observe(time.Since(start).Seconds())
 		err := actx.Err()
 		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 			return nil, fmt.Errorf("timed out after %v: %w", o.jobTimeout, err)

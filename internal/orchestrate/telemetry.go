@@ -4,7 +4,7 @@ import "pcstall/internal/telemetry"
 
 // orchTelemetry is the orchestrator's metric bundle: live campaign
 // counters and gauges (what a /metrics scrape watches while jobs are in
-// flight) plus per-job phase-span histograms. Job-internal simulation
+// flight) plus per-job phase histograms. Job-internal simulation
 // metrics arrive separately: each executed job runs against its own
 // child registry, whose snapshot is merged into this registry when the
 // job settles and recorded on the job's manifest entry.
@@ -33,12 +33,10 @@ type orchTelemetry struct {
 	cachePut  *telemetry.Histogram
 }
 
-// newOrchTelemetry builds the bundle on r (nil r yields nil).
-func newOrchTelemetry(r *telemetry.Registry) *orchTelemetry {
-	if r == nil {
-		return nil
-	}
-	return &orchTelemetry{
+// newOrchTelemetry builds the bundle on r; a nil r leaves every handle
+// nil, so each record is a no-op.
+func newOrchTelemetry(r *telemetry.Registry) orchTelemetry {
+	return orchTelemetry{
 		reg:           r,
 		jobsCompleted: r.Counter("orchestrate_jobs_completed_total", "jobs settled (computed or cache-served)"),
 		memHits:       r.Counter("orchestrate_cache_mem_hits_total", "submissions answered by the in-process memo"),
@@ -63,9 +61,6 @@ func newOrchTelemetry(r *telemetry.Registry) *orchTelemetry {
 
 // updateGauges publishes the pool state; callers hold o.mu.
 func (o *Orchestrator) updateGauges() {
-	if o.tele == nil {
-		return
-	}
 	o.tele.running.Set(float64(o.running))
 	o.tele.queueDepth.Set(float64(len(o.memo) - o.completed - o.running))
 }

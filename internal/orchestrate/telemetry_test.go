@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"pcstall/internal/dvfs"
+	"pcstall/internal/metricdoc"
 	"pcstall/internal/telemetry"
 )
 
@@ -193,4 +195,128 @@ func TestTelemetryDisabledLeavesNoTrace(t *testing.T) {
 			t.Fatal("entry grew metrics without a registry")
 		}
 	}
+}
+
+// TestMetricInventory: every orchestrate_* series a campaign registers
+// is documented in DESIGN.md's orchestrate_ row, and every documented
+// name is registered.
+func TestMetricInventory(t *testing.T) {
+	reg := telemetry.New()
+	run, _ := countingRun()
+	o, err := New(Config{Workers: 2, CacheDir: t.TempDir(), Run: run, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	if _, err := o.RunJobs(context.Background(), []Job{testJob(0), testJob(0)}); err != nil {
+		t.Fatal(err)
+	}
+	problems, err := metricdoc.Check("../../DESIGN.md", "orchestrate_", reg.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// TestPhaseHistogramsCountEachOccurrence: each orchestrate phase
+// histogram observes once per occurrence on every exit path. A job
+// cancelled while queued still records its queue wait, an attempt cut
+// loose by the per-job timeout still records its run, and every
+// executed job records one cache lookup and, on success, one cache put.
+func TestPhaseHistogramsCountEachOccurrence(t *testing.T) {
+	count := func(reg *telemetry.Registry, phase string) int64 {
+		return reg.Snapshot().Histograms["orchestrate_"+phase+"_seconds"].Count
+	}
+
+	t.Run("cancelled", func(t *testing.T) {
+		reg := telemetry.New()
+		started, release := make(chan struct{}), make(chan struct{})
+		o, err := New(Config{Workers: 1, Metrics: reg, Run: func(_ context.Context, j Job, _ *telemetry.Registry) (*dvfs.Result, error) {
+			if j.App != "app0" {
+				t.Errorf("job %s ran; it should have been cancelled while queued", j.App)
+				return &dvfs.Result{}, nil
+			}
+			close(started)
+			<-release
+			return &dvfs.Result{}, nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		// One campaign holds the only slot; a second queues two jobs
+		// behind it and is cancelled before the slot frees.
+		errc := make(chan error, 1)
+		go func() {
+			_, err := o.RunJobs(context.Background(), []Job{testJob(0)})
+			errc <- err
+		}()
+		<-started
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := o.RunJobs(ctx, []Job{testJob(1), testJob(2)}); err == nil {
+			t.Fatal("cancelled campaign settled clean")
+		}
+		close(release)
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		if st := o.Stats(); st.Cancelled != 2 {
+			t.Fatalf("cancelled %d jobs, want 2: %+v", st.Cancelled, st)
+		}
+		if n := count(reg, "job_queue_wait"); n != 3 {
+			t.Errorf("job_queue_wait counted %d jobs, want 3", n)
+		}
+		if n := count(reg, "job_run"); n != 1 {
+			t.Errorf("job_run counted %d attempts, want 1", n)
+		}
+	})
+
+	t.Run("timeout", func(t *testing.T) {
+		reg := telemetry.New()
+		release := make(chan struct{})
+		defer close(release)
+		o, err := New(Config{
+			Workers: 1, Metrics: reg,
+			JobTimeout: 20 * time.Millisecond, Retries: 1, RetryBackoff: time.Millisecond,
+			// Ignores its context: each attempt is abandoned at the deadline.
+			Run: func(context.Context, Job, *telemetry.Registry) (*dvfs.Result, error) {
+				<-release
+				return nil, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		if _, err := o.RunJobs(context.Background(), []Job{testJob(0)}); err == nil {
+			t.Fatal("hung job settled clean")
+		}
+		if n := count(reg, "job_run"); n != 2 {
+			t.Errorf("job_run counted %d attempts, want 2 (both abandoned)", n)
+		}
+		if n := count(reg, "job_queue_wait"); n != 1 {
+			t.Errorf("job_queue_wait counted %d, want 1", n)
+		}
+	})
+
+	t.Run("cache", func(t *testing.T) {
+		reg := telemetry.New()
+		run, _ := countingRun()
+		o, err := New(Config{Workers: 2, CacheDir: t.TempDir(), Run: run, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		if _, err := o.RunJobs(context.Background(), []Job{testJob(0), testJob(1), testJob(2), testJob(1)}); err != nil {
+			t.Fatal(err)
+		}
+		for phase, want := range map[string]int64{"cache_get": 3, "job_queue_wait": 3, "job_run": 3, "cache_put": 3} {
+			if n := count(reg, phase); n != want {
+				t.Errorf("%s counted %d, want %d", phase, n, want)
+			}
+		}
+	})
 }

@@ -219,7 +219,7 @@ type Server struct {
 	defaults  orchestrate.Job
 	ver       string
 	baseCtx   context.Context
-	tele      *serveTelemetry
+	tele      serveTelemetry
 	tracer    *tracing.Tracer
 	log       *slog.Logger
 	mux       *http.ServeMux
@@ -401,13 +401,12 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			tracing.String("http.path", r.URL.Path))
 		r = r.WithContext(ctx)
 		start := time.Now()
-		span := telemetry.StartSpan(s.tele.handler(endpoint))
 		h(sw, r)
-		span.End()
+		dur := time.Since(start)
 		tspan.SetAttr("http.status", fmt.Sprint(sw.code))
 		tspan.End()
-		s.tele.request(endpoint, sw.code)
-		s.logRequest(endpoint, r, sw.code, time.Since(start), tspan.TraceID())
+		s.tele.request(endpoint, sw.code, dur)
+		s.logRequest(endpoint, r, sw.code, dur, tspan.TraceID())
 	}
 }
 
@@ -464,7 +463,7 @@ func (s *Server) admit(rctx context.Context, id, kind string, run runFn, detache
 				j.refs++
 			}
 		}
-		s.tele.singleflightInc()
+		s.tele.singleflight.Inc()
 		tracing.FromContext(rctx).Event("singleflight.join", tracing.String("job", id))
 		return j, true, false, false
 	}
@@ -520,20 +519,11 @@ func (s *Server) admit(rctx context.Context, id, kind string, run runFn, detache
 	}
 	s.jobs[id] = j
 	ln.inflight++
-	if s.tele != nil {
-		s.tele.jobsTotal.Inc()
-	}
+	s.tele.jobsTotal.Inc()
 	ln.publish()
 	s.wg.Add(1)
 	go s.runJob(j, run)
 	return j, false, false, false
-}
-
-// singleflightInc is split out so admit reads cleanly.
-func (t *serveTelemetry) singleflightInc() {
-	if t != nil {
-		t.singleflight.Inc()
-	}
 }
 
 // runJob drives one admitted job: wait for a worker slot (or abandon if
@@ -547,33 +537,26 @@ func (s *Server) runJob(j *job, run runFn) {
 	if j.kind == kindFigure {
 		slot = s.figureSem
 	}
-	span := telemetry.StartSpan(s.tele.queueWaitHist())
+	queued := time.Now()
 	select {
 	case slot <- struct{}{}:
 	case <-j.ctx.Done():
-		span.End()
+		s.tele.queueWait.Observe(time.Since(queued).Seconds())
 		s.settle(j, errCode(j.ctx.Err()), marshalBody(apiError{Version: s.ver, Error: "cancelled while queued: " + j.ctx.Err().Error()}))
 		return
 	}
-	span.End()
+	startRun := time.Now()
+	s.tele.queueWait.Observe(startRun.Sub(queued).Seconds())
 	defer func() { <-slot }()
 	j.span.Event("slot.acquired")
 	s.mu.Lock()
 	j.status = statusRunning
-	j.startRun = time.Now()
+	j.startRun = startRun
 	j.lane.running++
 	j.lane.publish()
 	s.mu.Unlock()
 	code, body := run(j.ctx)
 	s.settle(j, code, body)
-}
-
-// queueWaitHist is nil-safe access to the time-in-queue histogram.
-func (t *serveTelemetry) queueWaitHist() *telemetry.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.queueWait
 }
 
 // settle publishes a job's outcome and releases its lane slot. The
@@ -611,13 +594,11 @@ func (s *Server) settle(j *job, code int, body []byte) {
 		s.bodyPut(j.id, body, digest)
 	}
 	j.cancel() // release the deadline timer
-	if s.tele != nil {
-		switch status {
-		case statusError:
-			s.tele.jobErrors.Inc()
-		case statusCancelled:
-			s.tele.jobsCanceled.Inc()
-		}
+	switch status {
+	case statusError:
+		s.tele.jobErrors.Inc()
+	case statusCancelled:
+		s.tele.jobsCanceled.Inc()
 	}
 	j.span.SetAttr("status", status)
 	j.span.SetAttr("http.status", fmt.Sprint(code))
@@ -710,7 +691,9 @@ func (s *Server) dropSettledLocked(id string) {
 func (s *Server) bodyPut(key string, body []byte, digest string) {
 	evicted := s.bodies.put(key, body, digest)
 	entries, bytes := s.bodies.stats()
-	s.tele.bodyShape(entries, bytes, evicted)
+	s.tele.bodyEvictions.Add(int64(evicted))
+	s.tele.bodyEntries.Set(float64(entries))
+	s.tele.bodyBytes.Set(float64(bytes))
 }
 
 // lane returns the admission lane a job of kind is charged to.
@@ -821,7 +804,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	// 1. Hot tier: a previously rendered body is served byte-identical,
 	// digest and all, without touching the result cache or the encoder.
 	if body, digest, ok := s.bodies.get(key); ok {
-		s.tele.bodyHitInc()
+		s.tele.bodyHits.Inc()
 		tracing.FromContext(r.Context()).SetAttr("cache", "lru")
 		s.recordSettled(key, kindSim, body)
 		s.writeSettled(w, r, http.StatusOK, key, body, digest)
@@ -830,9 +813,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 
 	// 2. Cache short-circuit: a settled result never queues.
 	if res, ok := s.cfg.Backend.Cached(key); ok {
-		if s.tele != nil {
-			s.tele.cacheHits.Inc()
-		}
+		s.tele.cacheHits.Inc()
 		tracing.FromContext(r.Context()).SetAttr("cache", "hit")
 		body := marshalBody(simResponse{
 			Version: s.ver, ID: key, Kind: kindSim, Status: statusDone,
@@ -965,9 +946,7 @@ func (s *Server) writeSettled(w http.ResponseWriter, r *http.Request, code int, 
 		etag := `"` + id + `"`
 		w.Header().Set("ETag", etag)
 		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
-			if s.tele != nil {
-				s.tele.etagHits.Inc()
-			}
+			s.tele.etagHits.Inc()
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
@@ -1057,9 +1036,7 @@ func (s *Server) StopAdmitting() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	if s.tele != nil {
-		s.tele.draining.Set(1)
-	}
+	s.tele.draining.Set(1)
 }
 
 // Drain stops admissions and waits for in-flight jobs to settle. If

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"time"
 
 	"pcstall/internal/telemetry"
 )
@@ -33,14 +34,11 @@ type serveTelemetry struct {
 	queueWait *telemetry.Histogram
 }
 
-// newServeTelemetry builds the bundle on r (nil r yields nil, making
-// every record a nil check). The admission lanes' series are registered
-// by newLane.
-func newServeTelemetry(r *telemetry.Registry) *serveTelemetry {
-	if r == nil {
-		return nil
-	}
-	return &serveTelemetry{
+// newServeTelemetry builds the bundle on r. A nil r leaves every handle
+// nil, so each record is a no-op; the admission lanes' series are
+// registered by newLane.
+func newServeTelemetry(r *telemetry.Registry) serveTelemetry {
+	return serveTelemetry{
 		reg:           r,
 		singleflight:  r.Counter("serve_singleflight_hits_total", "requests answered by joining an identical in-flight or settled job"),
 		cacheHits:     r.Counter("serve_cache_short_circuit_total", "requests answered from the result cache without queueing"),
@@ -72,41 +70,16 @@ func newLane(r *telemetry.Registry, class string, max int) lane {
 	}
 }
 
-// bodyHitInc counts one hot-tier hit.
-func (t *serveTelemetry) bodyHitInc() {
-	if t != nil {
-		t.bodyHits.Inc()
-	}
-}
-
-// bodyShape publishes the LRU's size after a put, plus any evictions it
-// caused.
-func (t *serveTelemetry) bodyShape(entries int, bytes int64, evicted int) {
-	if t == nil {
-		return
-	}
-	if evicted > 0 {
-		t.bodyEvictions.Add(int64(evicted))
-	}
-	t.bodyEntries.Set(float64(entries))
-	t.bodyBytes.Set(float64(bytes))
-}
-
-// request counts one finished request by endpoint and status code.
-func (t *serveTelemetry) request(endpoint string, code int) {
-	if t == nil {
+// request counts one finished request by endpoint and status code and
+// records its handler latency. Only a live registry formats the
+// per-endpoint names.
+func (t *serveTelemetry) request(endpoint string, code int, dur time.Duration) {
+	if t.reg == nil {
 		return
 	}
 	t.reg.Counter(
 		fmt.Sprintf("serve_requests_%s_%d_total", endpoint, code),
 		"requests served on the "+endpoint+" endpoint by status code",
 	).Inc()
-}
-
-// handler returns the latency histogram for one endpoint.
-func (t *serveTelemetry) handler(endpoint string) *telemetry.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.reg.Phase("serve_handler_" + endpoint)
+	t.reg.Phase("serve_handler_" + endpoint).Observe(dur.Seconds())
 }

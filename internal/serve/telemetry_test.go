@@ -1,80 +1,16 @@
 package serve
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pcstall/internal/dvfs"
+	"pcstall/internal/metricdoc"
 )
-
-// inventoryEntry is one name from DESIGN.md's serve_ metric row: a
-// pattern over the unlabelled name (templated parts such as <endpoint>
-// become wildcards) and, for labelled series, the documented class
-// values.
-type inventoryEntry struct {
-	doc     string
-	pattern *regexp.Regexp
-	classes map[string]bool // nil when the series is unlabelled
-	matched map[string]bool // "" for an unlabelled match, else the class
-}
-
-// placeholders maps the inventory's templated name parts to what they
-// stand for in a registered name.
-var placeholders = map[string]string{
-	"<endpoint>": `[a-z_]+`,
-	"<code>":     `[0-9]{3}`,
-}
-
-// serveInventory parses the serve_ row of DESIGN.md §6's metric table.
-func serveInventory(t *testing.T) []*inventoryEntry {
-	t.Helper()
-	data, err := os.ReadFile("../../DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var row string
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(line, "| `serve_` |") {
-			row = line
-			break
-		}
-	}
-	if row == "" {
-		t.Fatal("DESIGN.md has no serve_ row in its metric inventory")
-	}
-	names := strings.SplitN(row, " | ", 3)[1] // the Names column
-	var entries []*inventoryEntry
-	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(names, -1) {
-		doc := strings.ReplaceAll(m[1], `\|`, "|")
-		e := &inventoryEntry{doc: doc, matched: map[string]bool{}}
-		base := doc
-		if i := strings.IndexByte(doc, '{'); i >= 0 {
-			base = doc[:i]
-			labels := strings.TrimSuffix(strings.TrimPrefix(doc[i:], `{class=`), "}")
-			e.classes = map[string]bool{}
-			for _, v := range strings.Split(labels, "|") {
-				e.classes[strings.Trim(v, `"`)] = true
-			}
-		}
-		expr := regexp.QuoteMeta("serve_" + base)
-		for ph, re := range placeholders {
-			expr = strings.ReplaceAll(expr, regexp.QuoteMeta(ph), re)
-		}
-		if strings.ContainsAny(expr, "<>") {
-			t.Fatalf("inventory name %q has an unknown placeholder", doc)
-		}
-		e.pattern = regexp.MustCompile("^" + expr + "$")
-		entries = append(entries, e)
-	}
-	if len(entries) == 0 {
-		t.Fatal("DESIGN.md's serve_ row lists no names")
-	}
-	return entries
-}
 
 // TestMetricInventory: every serve_* series a server registers while
 // handling one request of each kind is documented in DESIGN.md's serve_
@@ -117,54 +53,69 @@ func TestMetricInventory(t *testing.T) {
 		t.Fatalf("setup requests: cold %d, async %d", cold.Code, async.Code)
 	}
 
-	entries := serveInventory(t)
+	problems, err := metricdoc.Check("../../DESIGN.md", "serve_", reg.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// TestPhaseHistogramsCountEachOccurrence: serve_time_in_queue_seconds
+// observes every admitted job exactly once, whether it reached a worker
+// slot or was cancelled while still queued, and each
+// serve_handler_<endpoint>_seconds counts exactly the requests served on
+// its endpoint, failed ones included.
+func TestPhaseHistogramsCountEachOccurrence(t *testing.T) {
+	backend := &stubBackend{block: make(chan struct{})}
+	s, reg := newTestServer(t, backend, func(c *Config) { c.Workers = 1 })
+	h := s.Handler()
+	// An async job takes the only worker slot and holds it.
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/sim?async=1", strings.NewReader(simBody(1))))
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("async admit: status %d", w.Code)
+	}
+	waitFor(t, func() bool { return atomic.LoadInt32(&backend.simCalls) == 1 })
+	// A sync job queues behind it; its client hangs up, which cancels
+	// the job while it is still queued.
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		req := httptest.NewRequest("POST", "/v1/sim", strings.NewReader(simBody(2))).WithContext(ctx)
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	waitFor(t, func() bool { return reg.Counter("serve_jobs_total", "").Value() == 2 })
+	cancel()
+	<-served
+	waitFor(t, func() bool { return reg.Counter("serve_jobs_cancelled_total", "").Value() == 1 })
+	postSim(t, h, `{"app":"nope"}`)
+	for i := 0; i < 3; i++ {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
+	}
+	close(backend.block)
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
 	snap := reg.Snapshot()
-	var registered []string
-	for n := range snap.Counters {
-		registered = append(registered, n)
+	if n := snap.Histograms["serve_time_in_queue_seconds"].Count; n != 2 {
+		t.Errorf("serve_time_in_queue_seconds counted %d jobs, want 2", n)
 	}
-	for n := range snap.Gauges {
-		registered = append(registered, n)
-	}
-	for n := range snap.Histograms {
-		registered = append(registered, n)
-	}
-	classLabel := regexp.MustCompile(`^([a-z_]+)\{class="([a-z]+)"\}$`)
-	for _, name := range registered {
-		if !strings.HasPrefix(name, "serve_") {
-			continue
-		}
-		base, class := name, ""
-		if m := classLabel.FindStringSubmatch(name); m != nil {
-			base, class = m[1], m[2]
-		}
-		found := false
-		for _, e := range entries {
-			if !e.pattern.MatchString(base) || (class != "") != (e.classes != nil) {
-				continue
+	for endpoint, want := range map[string]int64{"sim": 3, "healthz": 3} {
+		var requests int64
+		for name, v := range snap.Counters {
+			if strings.HasPrefix(name, "serve_requests_"+endpoint+"_") {
+				requests += v
 			}
-			if class != "" && !e.classes[class] {
-				t.Errorf("%s: class %q is not documented in %q", name, class, e.doc)
-			}
-			e.matched[class] = true
-			found = true
-			break
 		}
-		if !found {
-			t.Errorf("registered %s is missing from DESIGN.md's serve_ row", name)
+		if requests != want {
+			t.Errorf("serve_requests_%s_* sum to %d, want %d", endpoint, requests, want)
 		}
-	}
-	for _, e := range entries {
-		if e.classes == nil {
-			if !e.matched[""] {
-				t.Errorf("documented serve_%s is never registered", e.doc)
-			}
-			continue
-		}
-		for class := range e.classes {
-			if !e.matched[class] {
-				t.Errorf("documented serve_%s: class %q is never registered", e.doc, class)
-			}
+		if n := snap.Histograms["serve_handler_"+endpoint+"_seconds"].Count; n != want {
+			t.Errorf("serve_handler_%s_seconds counted %d requests, want %d", endpoint, n, want)
 		}
 	}
 }

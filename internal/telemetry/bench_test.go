@@ -46,10 +46,3 @@ func BenchmarkHistogramObserveEnabled(b *testing.B) {
 		h.Observe(0.5)
 	}
 }
-
-func BenchmarkSpanDisabled(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		StartSpan(nil).End()
-	}
-}

@@ -168,7 +168,7 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// DurationBuckets are the default bounds for phase spans, in seconds
+// DurationBuckets are the default bounds for phase histograms, in seconds
 // (0.1ms .. 100s, roughly logarithmic).
 var DurationBuckets = []float64{
 	.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05,
@@ -250,6 +250,12 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 		r.setHelp(name, help)
 	}
 	return h
+}
+
+// Phase returns (creating on first use) the named phase histogram with
+// the standard duration buckets; callers observe elapsed seconds on it.
+func (r *Registry) Phase(name string) *Histogram {
+	return r.Histogram(name+"_seconds", "wall-clock seconds spent in the "+name+" phase", DurationBuckets)
 }
 
 // setHelp records help text for name (callers hold r.mu); the first

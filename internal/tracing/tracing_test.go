@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"sync"
 	"testing"
 )
@@ -158,16 +159,19 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedTraceHeaders are X-Pcstall-Trace values Extract must refuse.
+var malformedTraceHeaders = []string{
+	"",
+	"short",
+	"0123456789abcdef0123456789abcdef-0123456789abcde",   // span 15 hex
+	"0123456789abcdef0123456789abcdef_0123456789abcdef",  // bad separator
+	"0123456789ABCDEF0123456789abcdef-0123456789abcdef",  // uppercase
+	"0123456789abcdef0123456789abcdeg-0123456789abcdef",  // non-hex
+	"0123456789abcdef0123456789abcdef-0123456789abcdefx", // too long
+}
+
 func TestExtractRejectsMalformed(t *testing.T) {
-	for _, v := range []string{
-		"",
-		"short",
-		"0123456789abcdef0123456789abcdef-0123456789abcde",   // span 15 hex
-		"0123456789abcdef0123456789abcdef_0123456789abcdef",  // bad separator
-		"0123456789ABCDEF0123456789abcdef-0123456789abcdef",  // uppercase
-		"0123456789abcdef0123456789abcdeg-0123456789abcdef",  // non-hex
-		"0123456789abcdef0123456789abcdef-0123456789abcdefx", // too long
-	} {
+	for _, v := range malformedTraceHeaders {
 		h := http.Header{}
 		if v != "" {
 			h.Set(TraceHeader, v)
@@ -176,6 +180,34 @@ func TestExtractRejectsMalformed(t *testing.T) {
 			t.Errorf("Extract accepted %q", v)
 		}
 	}
+}
+
+// FuzzTraceHeader: X-Pcstall-Trace is read off every incoming request,
+// so for any header value Extract must not panic, must accept exactly
+// the "<32 lowercase hex>-<16 lowercase hex>" form, and an accepted
+// identity must re-Inject to the same header value.
+func FuzzTraceHeader(f *testing.F) {
+	for _, v := range malformedTraceHeaders {
+		f.Add(v)
+	}
+	f.Add("0123456789abcdef0123456789abcdef-0123456789abcdef")
+	wellFormed := regexp.MustCompile(`^[0-9a-f]{32}-[0-9a-f]{16}$`)
+	f.Fuzz(func(t *testing.T, v string) {
+		h := http.Header{}
+		h.Set(TraceHeader, v)
+		sc, ok := Extract(h)
+		if ok != wellFormed.MatchString(v) {
+			t.Fatalf("Extract(%q) ok = %v, want %v", v, ok, !ok)
+		}
+		if !ok {
+			return
+		}
+		out := http.Header{}
+		Inject(WithRemote(context.Background(), sc), out)
+		if got := out.Get(TraceHeader); got != v {
+			t.Fatalf("Inject(Extract(%q)) wrote %q", v, got)
+		}
+	})
 }
 
 // TestSpanContextOfPrefersLocal: a context holding both a remote parent

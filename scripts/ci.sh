@@ -110,7 +110,7 @@ else
 	exit 1
 fi
 
-echo "==> fuzz smoke (program builder, config validator, chaos and netchaos spec round-trips, /v1/sim config merge, result-cache file)"
+echo "==> fuzz smoke (program builder, config validator, chaos and netchaos spec round-trips, /v1/sim config merge, result-cache file, dist sim reply, trace header)"
 # Short deterministic-budget fuzz passes; CI catches crashes and invariant
 # violations, the long exploratory runs stay manual.
 go test -run '^$' -fuzz '^FuzzProgramBuilder$' -fuzztime 15s ./internal/isa
@@ -119,6 +119,8 @@ go test -run '^$' -fuzz '^FuzzChaosSpec$' -fuzztime 10s ./internal/chaos
 go test -run '^$' -fuzz '^FuzzNetchaosSpec$' -fuzztime 10s ./internal/netchaos
 go test -run '^$' -fuzz '^FuzzSimRequest$' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz '^FuzzCacheFile$' -fuzztime 10s ./internal/orchestrate
+go test -run '^$' -fuzz '^FuzzClientReply$' -fuzztime 10s ./internal/dist
+go test -run '^$' -fuzz '^FuzzTraceHeader$' -fuzztime 10s ./internal/tracing
 
 echo "==> kill-resume smoke (SIGINT mid-campaign, -resume, byte-identical output)"
 # A campaign killed mid-flight must drain gracefully (completed results
